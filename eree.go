@@ -217,9 +217,11 @@ func WorkerAttrs() []string { return lodes.WorkerAttrs() }
 //     and InvalidateMarginalCache: observe and control the cache,
 //     per epoch.
 //
-// Because truth is cached, Release.Truth (and the result of
-// Publisher.Marginal) is shared across releases of the same attribute
-// set and must be treated as read-only.
+// The cache holds one truth per attribute set, in canonical (schema)
+// attribute order. Release.Truth (and the result of Publisher.Marginal)
+// is that shared truth when the request names its attributes in
+// canonical order, and a copy remapped for that one request otherwise;
+// either way it must be treated as read-only.
 type Publisher = core.Publisher
 
 // NewPublisher creates a publisher for the dataset.
@@ -232,10 +234,12 @@ type (
 )
 
 // CacheStats reports one epoch's marginal-cache effectiveness: a hit is
-// a release that skipped the full-table scan, an eviction a cached
-// marginal dropped by selective invalidation at an Advance (or an
-// explicit invalidation). Counters are per-epoch; see
-// Publisher.CacheStatsByEpoch for the full history.
+// a release that skipped the full-table scan, a patch a cached truth
+// carried across an Advance by applying the delta in place, an eviction
+// a cached truth dropped at an Advance (or by an explicit
+// invalidation). Patches and evictions count canonical truths, one per
+// attribute set. Counters are per-epoch; see Publisher.CacheStatsByEpoch
+// for the full history.
 type CacheStats = core.CacheStats
 
 // EpochSpend is one epoch's entry in an Accountant's spend-by-epoch

@@ -51,12 +51,10 @@ func (p *Publisher) ReleaseBatchTagged(a *privacy.Accountant, reqs []Request, s 
 	// truth, index scan and noise input come from the same epoch, even
 	// if an Advance lands mid-batch.
 	sn := p.snap.Load()
-	// Derive every request's loss once, upfront: it depends only on the
-	// request, and with an accountant attached it lets an over-budget
-	// batch fail fast before paying for scans and noise. The atomic
-	// SpendAll below remains authoritative — remaining budget only ever
-	// shrinks, so this pre-check can only reject what SpendAll would
-	// also reject.
+	// Every check comes before any scan or noise is paid for: each
+	// request's loss, the batch's summed budget, each request's attribute
+	// list and mechanism, then the per-loss admission check. The atomic
+	// SpendAll below stays authoritative.
 	losses := make([]privacy.Loss, len(reqs))
 	for i, req := range reqs {
 		loss, err := lossFor(req, definitionFor(req.Mechanism, req.Attrs), sn.data.Schema())
@@ -71,24 +69,28 @@ func (p *Publisher) ReleaseBatchTagged(a *privacy.Accountant, reqs []Request, s 
 			sumEps += l.Eps
 			sumDelta += l.Delta
 		}
-		remEps, remDelta := a.Remaining()
-		if sumEps > remEps+1e-12 || sumDelta > remDelta+1e-15 {
+		if a.AdmitTotal(sumEps, sumDelta) != nil {
+			remEps, remDelta := a.Remaining()
 			return nil, fmt.Errorf("core: batch blocked: %w: batch loss (eps=%g, delta=%g) exceeds remaining budget (eps=%g, delta=%g)",
 				privacy.ErrBudgetExhausted, sumEps, sumDelta, remEps, remDelta)
 		}
 	}
-	// One scan for every marginal the batch needs. Requests with invalid
-	// attribute sets are left out so their error surfaces below with the
-	// request's batch position attached.
-	attrSets := make([][]string, 0, len(reqs))
-	for _, req := range reqs {
-		if _, err := sn.data.Schema().Resolve(req.Attrs); err == nil {
-			attrSets = append(attrSets, req.Attrs)
+	prs := make([]prepared, len(reqs))
+	refs := make([]truthRef, len(reqs))
+	for i, req := range reqs {
+		pr, err := sn.prepare(req, losses[i])
+		if err != nil {
+			return nil, fmt.Errorf("core: batch request %d: %w", i, err)
+		}
+		prs[i], refs[i] = pr, pr.ref
+	}
+	if a != nil {
+		if err := a.Admit(losses); err != nil {
+			return nil, fmt.Errorf("core: batch blocked: %w", err)
 		}
 	}
-	if err := sn.prefetchMarginals(attrSets); err != nil {
-		return nil, err
-	}
+	// One scan for every marginal the batch still needs.
+	sn.prefetch(refs)
 
 	// A fixed worker pool pulling request indices from an atomic counter:
 	// no per-request goroutine or semaphore traffic, and with one worker
@@ -101,8 +103,8 @@ func (p *Publisher) ReleaseBatchTagged(a *privacy.Accountant, reqs []Request, s 
 		workers = len(reqs)
 	}
 	if workers <= 1 {
-		for i, req := range reqs {
-			rels[i], errs[i] = p.releaseWithLoss(sn, req, losses[i], s.SplitIndex("batch", i))
+		for i := range reqs {
+			rels[i], errs[i] = sn.release(prs[i], s.SplitIndex("batch", i))
 		}
 	} else {
 		var next atomic.Int64
@@ -116,7 +118,7 @@ func (p *Publisher) ReleaseBatchTagged(a *privacy.Accountant, reqs []Request, s 
 					if i >= len(reqs) {
 						return
 					}
-					rels[i], errs[i] = p.releaseWithLoss(sn, reqs[i], losses[i], s.SplitIndex("batch", i))
+					rels[i], errs[i] = sn.release(prs[i], s.SplitIndex("batch", i))
 				}
 			}()
 		}

@@ -20,12 +20,14 @@ import (
 // and noise is what privacy budgets pay for, so reusing the truth is
 // free in privacy terms.
 //
-// Entries are keyed by the canonical attribute set (attributes sorted in
-// schema order): two requests that name the same attributes in different
-// orders share one table scan. The cell numbering of a marginal depends
-// on attribute order, so a non-canonical request is served by remapping
-// the canonical entry's cells — a permutation of mixed-radix digits,
-// O(cells) instead of O(rows).
+// The cache holds exactly one entry per attribute set, keyed by its
+// canonical spelling (attributes sorted in schema order): a released
+// marginal depends only on the set V (Definition 2.1), and attribute
+// order only renumbers its cells. A request in canonical order finds its
+// truth with one key build and one lookup. Any other order is served by
+// remapping the canonical entry's cells for that request alone — a
+// permutation of mixed-radix digits, O(cells) instead of O(rows) — and
+// the remapped copy is never cached.
 //
 // Concurrency: the cache is built for read-mostly serving traffic.
 // Committed entries live in copy-on-write maps sharded by key hash and
@@ -45,15 +47,16 @@ import (
 // had already started, or from an entry carried over an epoch bump);
 // Misses counts marginals that had to be computed — one table scan each
 // on the point-miss path, while PrefetchMarginals computes all of its
-// misses in a single shared pass. Patches counts cached truths the
-// Advance that created the epoch carried by *patching* (incremental
-// view maintenance: the delta's contribution applied in place, no
-// rescan — including request-order aliases re-derived from a patched
-// canonical truth). Evictions counts cached marginals dropped from the
-// epoch's cache: at the Advance that created the epoch (entries the
-// maintenance path could not patch — or, under
-// SetEvictOnAdvance(true), every affected entry), plus any explicit
-// InvalidateMarginalCache or cache-disable sweeps during the epoch.
+// misses in a single shared pass. The cache holds one truth per
+// canonical attribute set, so Patches and Evictions count canonical
+// truths only. Patches counts the truths the Advance that created the
+// epoch carried by *patching* (incremental view maintenance: the
+// delta's contribution applied in place, no rescan). Evictions counts
+// truths dropped from the epoch's cache: at the Advance that created the
+// epoch (entries the maintenance path could not patch), plus any
+// explicit InvalidateMarginalCache or cache-disable sweeps during the
+// epoch. Refused requests — invalid parameters, unknown attributes or
+// cells, or an exhausted budget — never touch the cache or its counters.
 //
 // Counters are per-epoch: each Advance starts a fresh set (see
 // Publisher.CacheStatsByEpoch), so hit rates are attributable to the
@@ -90,19 +93,18 @@ func (cc *cacheCounters) view() CacheStats {
 	}
 }
 
-// marginalEntry is one cached truth: the compiled query, its marginal,
-// the per-cell mechanism inputs derived from it, and the query's plan
-// handle — the same handle that keys the index's packed scan columns,
-// so a cached truth names the scan plan that produced it.
+// marginalEntry is one truth: the compiled query, its marginal, and the
+// per-cell mechanism inputs derived from it. A cached entry is always
+// over the canonical query; a remapped copy for another attribute order
+// lives only as long as the request that asked for it.
 type marginalEntry struct {
-	q       *table.Query
-	m       *table.Marginal
-	cells   []mech.CellInput
-	planKey string
+	q     *table.Query
+	m     *table.Marginal
+	cells []mech.CellInput
 }
 
 func newMarginalEntry(q *table.Query, m *table.Marginal) *marginalEntry {
-	return &marginalEntry{q: q, m: m, cells: CellInputs(m), planKey: q.PlanKey()}
+	return &marginalEntry{q: q, m: m, cells: CellInputs(m)}
 }
 
 // marginalCacheShards is the number of copy-on-write shards. A small
@@ -117,12 +119,11 @@ type marginalCache struct {
 	stats *cacheCounters
 	// gen is the invalidation generation: clear() bumps it before
 	// dropping the committed maps (and re-enabling the cache bumps it
-	// again), and any commit — a finished scan or a derived remap — goes
-	// through only if the generation it started under is still current
-	// and the cache is on. Without this, a scan or remap in flight
-	// across an InvalidateMarginalCache or SetMarginalCacheEnabled call
-	// would commit a pre-invalidation truth into the post-invalidation
-	// cache and serve it forever.
+	// again), and a finished scan commits only if the generation it
+	// started under is still current and the cache is on. Without this,
+	// a scan in flight across an InvalidateMarginalCache or
+	// SetMarginalCacheEnabled call would commit a pre-invalidation truth
+	// into the post-invalidation cache and serve it forever.
 	gen    atomic.Uint64
 	shards [marginalCacheShards]cacheShard
 }
@@ -295,43 +296,22 @@ func (c *marginalCache) getOrCompute(key string, compute func() (*marginalEntry,
 	return
 }
 
-// insertDerived commits a remapped entry (no scan involved) whose
-// source canonical truth was obtained under the given generation —
-// unless the cache has been invalidated or disabled since, in which
-// case the derived truth is served to this caller but not cached. The
-// generation check (not a source-pointer check) is what makes this
-// sound against clear()'s shard-by-shard sweep: the canonical shard may
-// not have been swept yet when this shard already has been.
-func (c *marginalCache) insertDerived(key string, e *marginalEntry, gen uint64) *marginalEntry {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !c.commitAllowed(gen) {
-		return e
-	}
-	return sh.commitLocked(key, e)
-}
-
 // clear drops every committed entry, counting the dropped entries as
 // evictions. The generation bump comes first so any scan still in
 // flight sees it at commit time and leaves its pre-invalidation truth
 // out of the fresh maps.
 func (c *marginalCache) clear() {
 	c.gen.Add(1)
-	// Evictions count distinct truths: an entry committed under several
-	// keys (plan key plus request-order aliases) drops once.
-	dropped := make(map[*marginalEntry]bool)
+	var dropped int64
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for _, e := range *sh.entries.Load() {
-			dropped[e] = true
-		}
+		dropped += int64(len(*sh.entries.Load()))
 		empty := make(map[string]*marginalEntry)
 		sh.entries.Store(&empty)
 		sh.mu.Unlock()
 	}
-	c.stats.evictions.Add(int64(len(dropped)))
+	c.stats.evictions.Add(dropped)
 }
 
 // committed returns every committed entry across the shards — the
@@ -358,17 +338,9 @@ func (c *marginalCache) seed(entries map[string]*marginalEntry) {
 	}
 }
 
-// exactKey identifies an attribute list in request order. Non-canonical
-// orders are cached under it; canonical entries use canonicalCacheKey.
+// exactKey identifies an attribute list in request order. Entries are
+// cached under the canonical spelling's key only.
 func exactKey(attrs []string) string { return strings.Join(attrs, "\x1f") }
-
-// canonicalCacheKey derives the canonical shard key from the query's
-// plan handle: a "\x00" prefix (no attribute name contains NUL, so plan
-// keys can never collide with request-order name keys) followed by
-// Query.PlanKey. The cache and the index's packed-column cache are
-// thereby keyed by the same handle — one plan identity from request to
-// cached truth to scan layout.
-func canonicalCacheKey(q *table.Query) string { return "\x00" + q.PlanKey() }
 
 // canonicalQuery compiles the attribute list into its canonical query —
 // attributes sorted in schema order, the cache's canonical form — or an
@@ -396,113 +368,175 @@ func (sn *epochSnapshot) computeEntry(q *table.Query) *marginalEntry {
 	return newMarginalEntry(q, table.Compute(sn.data.WorkerFull, q))
 }
 
-// marginalFor returns the cached truth for the attribute set, computing
-// and caching it on first use. The returned entry is shared: its query,
-// marginal and cell inputs must be treated as read-only.
+// truthRef is an attribute list resolved against a snapshot before any
+// truth is fetched: the request-order query, the canonical query and
+// its cache key, and the committed canonical entry when the request's
+// own spelling found it. The release paths resolve, then admit, then
+// fetch, so a refused request never scans, caches or counts.
+type truthRef struct {
+	q     *table.Query   // request order
+	canon *table.Query   // schema order; q itself for the canonical spelling
+	key   string         // the canonical spelling's cache key
+	hit   *marginalEntry // the committed entry the request's own key found
+}
+
+// resolve validates and compiles the attribute list. A canonical
+// spelling whose truth is cached costs one key build and one lookup;
+// anything else is canonicalized (ErrUnknownMarginal for lists the
+// schema cannot compile).
+func (sn *epochSnapshot) resolve(attrs []string) (truthRef, error) {
+	key := exactKey(attrs)
+	if !sn.cache.off.Load() {
+		if e, ok := sn.cache.lookup(key); ok {
+			return truthRef{q: e.q, canon: e.q, key: key, hit: e}, nil
+		}
+	}
+	canon, err := sn.canonicalQuery(attrs)
+	if err != nil {
+		return truthRef{}, err
+	}
+	r := truthRef{q: canon, canon: canon, key: exactKey(canon.AttrNames())}
+	if r.key != key {
+		if r.q, err = table.NewQuery(sn.data.Schema(), attrs...); err != nil {
+			return truthRef{}, err
+		}
+	}
+	return r, nil
+}
+
+// canonical returns the epoch's canonical truth for the resolved set,
+// computing and caching it on first use. The entry is shared: its
+// query, marginal and cell inputs must be treated as read-only.
 //
-// Concurrent requests for the same uncached marginal trigger exactly one
+// Concurrent requests for the same uncached set trigger exactly one
 // table scan — the per-key singleflight makes every other requester a
 // follower of the first (the scan itself still parallelizes internally
-// via the table index). Requests for cached marginals never touch a
-// lock.
-func (sn *epochSnapshot) marginalFor(attrs []string) (*marginalEntry, error) {
+// via the table index). Requests for cached sets never touch a lock.
+// With the cache off every call scans.
+func (sn *epochSnapshot) canonical(r truthRef) (*marginalEntry, error) {
 	c := sn.cache
 	if c.off.Load() {
-		if _, err := sn.canonicalQuery(attrs); err != nil {
-			return nil, err
-		}
-		q, err := table.NewQuery(sn.data.Schema(), attrs...)
-		if err != nil {
-			return nil, err
-		}
-		return sn.computeEntry(q), nil
+		return sn.computeEntry(r.canon), nil
 	}
-	// The steady-state hit path is one request-order key join and one
-	// lookup — no canonicalization. Scans dedupe under the plan-key form
-	// (canonicalCacheKey), and every request order that has been served
-	// once holds an alias to the shared entry under its own name key.
-	key := exactKey(attrs)
-	if e, ok := c.lookup(key); ok {
+	if r.hit != nil {
 		c.stats.hits.Add(1)
-		return e, nil
+		return r.hit, nil
 	}
-	canonQ, err := sn.canonicalQuery(attrs)
-	if err != nil {
-		return nil, err
-	}
-	// Snapshot the generation before obtaining the canonical truth: a
-	// derived entry (alias or remap) may only be cached if no
-	// invalidation intervened between here and its commit.
-	gen := c.gen.Load()
-	canonKey := canonicalCacheKey(canonQ)
-	canonEntry, fresh, err := c.getOrCompute(canonKey, func() (*marginalEntry, error) {
-		return sn.computeEntry(canonQ), nil
+	e, fresh, err := c.getOrCompute(r.key, func() (*marginalEntry, error) {
+		return sn.computeEntry(r.canon), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	if !fresh {
-		// Raced with a concurrent scan, followed one already in flight,
-		// or reused a committed truth (for non-canonical orders only the
-		// cell numbering changes): a hit either way.
+		// Raced with a concurrent scan, followed one already in flight, or
+		// reused a committed truth (for non-canonical orders only the cell
+		// numbering changes): a hit either way.
 		c.stats.hits.Add(1)
 	}
-	if key == exactKey(canonQ.AttrNames()) {
-		return c.insertDerived(key, canonEntry, gen), nil
+	return e, nil
+}
+
+// truth returns the resolved set's truth in request order: the cached
+// canonical entry itself for the canonical spelling, or a copy remapped
+// for this request alone for any other order.
+func (sn *epochSnapshot) truth(r truthRef) (*marginalEntry, error) {
+	e, err := sn.canonical(r)
+	if err != nil || r.q == r.canon {
+		return e, err
 	}
-	q, err := table.NewQuery(sn.data.Schema(), attrs...)
-	if err != nil {
-		return nil, err
+	return newMarginalEntry(r.q, remapMarginal(e.m, r.q)), nil
+}
+
+// canonicalCell maps a cell key of the request-order query to the same
+// cell's key in the canonical query.
+func (r truthRef) canonicalCell(cell int) int {
+	if r.q == r.canon {
+		return cell
 	}
-	return c.insertDerived(key, newMarginalEntry(q, remapMarginal(canonEntry.m, q)), gen), nil
+	strides := placeValues(r.canon, r.q)
+	src := 0
+	for j, code := range r.q.DecodeCell(cell, nil) {
+		src += code * strides[j]
+	}
+	return src
+}
+
+// placeValues returns, for each of dst's attributes in dst's order, its
+// place value in src's mixed-radix cell keys. src and dst must name the
+// same attribute set.
+func placeValues(src, dst *table.Query) []int {
+	place := make([]int, len(src.Attrs()))
+	v := 1
+	for j := len(place) - 1; j >= 0; j-- {
+		place[j] = v
+		v *= src.Schema().Attr(src.Attrs()[j]).Size()
+	}
+	out := make([]int, len(dst.Attrs()))
+	for i, a := range dst.Attrs() {
+		for j, b := range src.Attrs() {
+			if a == b {
+				out[i] = place[j]
+			}
+		}
+	}
+	return out
 }
 
 // remapMarginal re-expresses a marginal under a query over the same
-// attribute set in a different order. Cell keys are mixed-radix encodings
-// of the per-attribute codes, so the remap permutes digits: decode each
-// destination cell, reorder the codes into source attribute order, and
-// copy the source cell's statistics.
+// attribute set in a different order. Cell keys are mixed-radix
+// encodings of the per-attribute codes, so destination cell c holds
+// source cell Σ digit_j(c)·stride_j, where stride_j is the place value
+// in the source of the destination's j-th attribute. Walking the
+// destination cells in order advances their digits like an odometer —
+// the last digit fastest — so the source key moves by one stride per
+// step and rewinds on each carry, with no per-cell decode or encode.
 func remapMarginal(src *table.Marginal, dst *table.Query) *table.Marginal {
-	srcQ := src.Query
-	// perm[j] = position within dst's attribute list of srcQ's j-th
-	// attribute.
-	dstPos := make(map[int]int, len(dst.Attrs()))
-	for i, a := range dst.Attrs() {
-		dstPos[a] = i
+	strides := placeValues(src.Query, dst)
+	radices := make([]int, len(strides))
+	for j, a := range dst.Attrs() {
+		radices[j] = dst.Schema().Attr(a).Size()
 	}
-	perm := make([]int, len(srcQ.Attrs()))
-	for j, a := range srcQ.Attrs() {
-		perm[j] = dstPos[a]
-	}
+	n := dst.NumCells()
 	out := &table.Marginal{
 		Query:                    dst,
-		Counts:                   make([]int64, dst.NumCells()),
-		MaxEntityContribution:    make([]int64, dst.NumCells()),
-		SecondEntityContribution: make([]int64, dst.NumCells()),
-		EntityCount:              make([]int64, dst.NumCells()),
+		Counts:                   make([]int64, n),
+		MaxEntityContribution:    make([]int64, n),
+		SecondEntityContribution: make([]int64, n),
+		EntityCount:              make([]int64, n),
 	}
-	codes := make([]int, len(perm))
-	srcCodes := make([]int, len(perm))
-	for cell := 0; cell < dst.NumCells(); cell++ {
-		codes = dst.DecodeCell(cell, codes)
-		for j := range perm {
-			srcCodes[j] = codes[perm[j]]
+	digits := make([]int, len(strides))
+	s := 0
+	for cell := 0; cell < n; cell++ {
+		out.Counts[cell] = src.Counts[s]
+		out.MaxEntityContribution[cell] = src.MaxEntityContribution[s]
+		out.SecondEntityContribution[cell] = src.SecondEntityContribution[s]
+		out.EntityCount[cell] = src.EntityCount[s]
+		for j := len(digits) - 1; j >= 0; j-- {
+			digits[j]++
+			s += strides[j]
+			if digits[j] < radices[j] {
+				break
+			}
+			digits[j] = 0
+			s -= strides[j] * radices[j]
 		}
-		srcCell := srcQ.CellKey(srcCodes...)
-		out.Counts[cell] = src.Counts[srcCell]
-		out.MaxEntityContribution[cell] = src.MaxEntityContribution[srcCell]
-		out.SecondEntityContribution[cell] = src.SecondEntityContribution[srcCell]
-		out.EntityCount[cell] = src.EntityCount[srcCell]
 	}
 	return out
 }
 
 // Marginal returns the (cached) true marginal for the attribute set on
-// the current epoch, in the given attribute order. The marginal is
-// shared with the cache and must be treated as read-only — it is the
-// confidential truth, retained for evaluation.
+// the current epoch, in the given attribute order. For the canonical
+// order the marginal is shared with the cache; for any other order it is
+// a copy remapped for this call. Either way it must be treated as
+// read-only — it is the confidential truth, retained for evaluation.
 func (p *Publisher) Marginal(attrs []string) (*table.Marginal, error) {
-	e, err := p.snap.Load().marginalFor(attrs)
+	sn := p.snap.Load()
+	r, err := sn.resolve(attrs)
+	if err != nil {
+		return nil, err
+	}
+	e, err := sn.truth(r)
 	if err != nil {
 		return nil, err
 	}
@@ -520,31 +554,26 @@ func (p *Publisher) Marginal(attrs []string) (*table.Marginal, error) {
 // already claimed); the committed results are identical truths either
 // way.
 func (p *Publisher) PrefetchMarginals(attrSets [][]string) error {
-	return p.snap.Load().prefetchMarginals(attrSets)
-}
-
-// prefetchMarginals is PrefetchMarginals pinned to one snapshot (the
-// batch path pins once for losses, prefetch and noise together).
-func (sn *epochSnapshot) prefetchMarginals(attrSets [][]string) error {
-	c := sn.cache
-	canons := make([]*table.Query, 0, len(attrSets))
-	for _, attrs := range attrSets {
-		// Warm fast path: a set already served in this request order holds
-		// an alias entry under its name key, and invalid attribute lists
-		// can never be cached — so a hit needs no canonicalization at all.
-		if !c.off.Load() {
-			if _, ok := c.lookup(exactKey(attrs)); ok {
-				continue
-			}
-		}
-		canonQ, err := sn.canonicalQuery(attrs)
+	sn := p.snap.Load()
+	refs := make([]truthRef, len(attrSets))
+	for i, attrs := range attrSets {
+		r, err := sn.resolve(attrs)
 		if err != nil {
 			return err
 		}
-		canons = append(canons, canonQ)
+		refs[i] = r
 	}
+	sn.prefetch(refs)
+	return nil
+}
+
+// prefetch is PrefetchMarginals over already-resolved sets, pinned to
+// one snapshot (the batch path pins once for losses, prefetch and noise
+// together).
+func (sn *epochSnapshot) prefetch(refs []truthRef) {
+	c := sn.cache
 	if c.off.Load() {
-		return nil
+		return
 	}
 	var missing []*table.Query
 	var flights []*inflightScan
@@ -560,9 +589,9 @@ func (sn *epochSnapshot) prefetchMarginals(attrSets [][]string) error {
 			c.finishFlight(keys[i], flights[i], gens[i])
 		}
 	}()
-	for _, q := range canons {
-		key := canonicalCacheKey(q)
-		if seen[key] {
+	for _, r := range refs {
+		key := r.key
+		if r.hit != nil || seen[key] {
 			continue
 		}
 		seen[key] = true
@@ -582,20 +611,19 @@ func (sn *epochSnapshot) prefetchMarginals(attrSets [][]string) error {
 		}
 		fl, gen := c.registerFlight(sh, key)
 		sh.mu.Unlock()
-		missing = append(missing, q)
+		missing = append(missing, r.canon)
 		flights = append(flights, fl)
 		keys = append(keys, key)
 		gens = append(gens, gen)
 	}
 	if len(missing) == 0 {
-		return nil
+		return
 	}
 	for i, m := range table.ComputeAll(sn.data.WorkerFull, missing) {
 		flights[i].e = newMarginalEntry(missing[i], m)
 		c.finishFlight(keys[i], flights[i], gens[i])
 		finished++
 	}
-	return nil
 }
 
 // SetMarginalCacheEnabled turns the marginal cache on or off (it is on
@@ -631,7 +659,7 @@ func (p *Publisher) SetMarginalCacheEnabled(enabled bool) {
 // selectively). Statistics persist — dropped entries count as the
 // epoch's evictions. Serialized with Advance so an invalidation cannot
 // race the carry-over sweep: without the lock, entries enumerated by
-// survivingEntries before the clear could be seeded into the successor
+// maintainEntries before the clear could be seeded into the successor
 // epoch's cache, silently undoing the invalidation.
 func (p *Publisher) InvalidateMarginalCache() {
 	p.advanceMu.Lock()

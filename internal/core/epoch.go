@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/lodes"
 	"repro/internal/table"
@@ -43,13 +42,11 @@ type epochSnapshot struct {
 // bit-identical in the new epoch — or *patched*: the delta's
 // contribution is applied to the cached truth in place
 // (table.MarginalView.Apply — O(changed rows), no rescan), counted in
-// CacheStats.Patches. Request-order aliases of a canonical truth move
-// with it, and non-canonical entries are re-derived from their patched
-// canonical sibling by the O(cells) digit remap. Only entries the
-// maintenance path cannot handle (a poisoned view, a vanished
-// canonical sibling) are evicted and recomputed on demand — and
-// SetEvictOnAdvance(true) restores that pre-maintenance behavior
-// wholesale as the differential oracle. Entries are keyed by version
+// CacheStats.Patches. The cache holds canonical truths only, so there is
+// nothing else to re-derive: other attribute orders are remapped per
+// request from whatever the new epoch holds. Only entries the
+// maintenance path cannot handle (a poisoned view, a heavy delta) are
+// evicted and recomputed on demand. Entries are keyed by version
 // structurally: each epoch owns its cache, so a truth can never leak
 // across epochs.
 //
@@ -73,15 +70,10 @@ func (p *Publisher) Advance(delta *lodes.Delta) error {
 	next.WorkerFull.AdoptIndex(nextIx)
 
 	cache := newMarginalCache(next.Epoch)
-	switch {
-	case old.cache.off.Load():
+	if old.cache.off.Load() {
 		cache.off.Store(true)
 		p.views = make(map[string]*maintainedView)
-	case p.evictOnAdvance:
-		carried, evicted := survivingEntries(old.cache, baseIx, nextIx, touched)
-		cache.seed(carried)
-		cache.stats.evictions.Store(evicted)
-	default:
+	} else {
 		carried, patched, evicted := p.maintainEntries(old, baseIx, nextIx, touched, kept, next.Epoch)
 		cache.seed(carried)
 		cache.stats.patches.Store(patched)
@@ -99,17 +91,6 @@ func (p *Publisher) Advance(delta *lodes.Delta) error {
 	return nil
 }
 
-// maintainEntries carries the old epoch's committed truths into the
-// successor epoch, patching the ones the delta affected. Canonical
-// entries (cached under their "\x00"-prefixed plan-key form, possibly
-// with request-order alias keys sharing the pointer) are patched
-// through their maintained view — built lazily, on the first Advance
-// that affects them, from the base index; every alias key re-points at
-// the one patched entry. Non-canonical entries are re-derived from
-// their patched canonical sibling by the O(cells) digit remap. Any
-// entry the maintenance path cannot handle is evicted instead; both
-// outcomes count distinct truths, not keys. Runs under advanceMu — the
-// views map and each view's scratch are single-writer by construction.
 // patchChurnCeiling is the TouchedGroupFraction above which an advance
 // counts as heavy: beyond it, patching a non-flat view's truth costs
 // more than evicting and rescanning it (measured crossover is well
@@ -118,42 +99,29 @@ func (p *Publisher) Advance(delta *lodes.Delta) error {
 // once a view exists, so heavy advances never build new views.
 const patchChurnCeiling = 0.5
 
+// maintainEntries carries the old epoch's committed truths — one per
+// canonical attribute set — into the successor epoch, patching the ones
+// the delta affected through their maintained view (built lazily, on
+// the first Advance that affects them, from the base index). Any truth
+// the maintenance path cannot handle is evicted instead. Runs under
+// advanceMu — the views map and each view's scratch are single-writer
+// by construction.
 func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.Index, touched, kept []int32, nextEpoch int) (carried map[string]*marginalEntry, patched, evicted int64) {
 	entries := old.cache.committed()
-	// Group keys by distinct entry, noting which entries are canonical
-	// (hold a plan-key form).
-	type entryKeys struct {
-		e     *marginalEntry
-		keys  []string
-		slot  int // position in groups, the affected-vector slot
-		canon bool
-	}
-	uniq := make(map[*marginalEntry]*entryKeys)
-	var groups []*entryKeys
-	for key, e := range entries {
-		g, ok := uniq[e]
-		if !ok {
-			g = &entryKeys{e: e, slot: len(groups)}
-			uniq[e] = g
-			groups = append(groups, g)
-		}
-		g.keys = append(g.keys, key)
-		if len(key) > 0 && key[0] == 0 {
-			g.canon = true
-		}
-	}
-	// liveViews is the successor epoch's view set: views for plans whose
-	// truths survive. Everything else (stale epochs, evicted plans,
-	// truths no longer cached) is garbage and dropped with the swap.
+	// liveViews is the successor epoch's view set: views for truths that
+	// survive. Everything else (stale epochs, evicted truths, truths no
+	// longer cached) is garbage and dropped with the swap.
 	liveViews := make(map[string]*maintainedView)
 	defer func() { p.views = liveViews }()
-	if len(groups) == 0 {
+	if len(entries) == 0 {
 		return nil, 0, 0
 	}
 
-	qs := make([]*table.Query, len(groups))
-	for i, g := range groups {
-		qs[i] = g.e.q
+	keys := make([]string, 0, len(entries))
+	qs := make([]*table.Query, 0, len(entries))
+	for key, e := range entries {
+		keys = append(keys, key)
+		qs = append(qs, e.q)
 	}
 	affected := table.Affected(baseIx, nextIx, touched, qs)
 
@@ -187,20 +155,11 @@ func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.In
 	}
 
 	carried = make(map[string]*marginalEntry, len(entries))
-	// patchedCanon maps a canonical plan key to its successor-epoch
-	// truth, for rebuilding non-canonical request orders in the second
-	// pass.
-	patchedCanon := make(map[string]*marginalEntry)
-	var derived []*entryKeys
-	for i, g := range groups {
-		if !g.canon {
-			derived = append(derived, g)
-			continue
-		}
-		pk := g.e.planKey
-		mv := p.views[pk]
+	for i, key := range keys {
+		e := entries[key]
+		mv := p.views[key]
 		if mv != nil && mv.epoch != old.epoch {
-			mv = nil // stale: missed a delta (oracle or cache-off interlude)
+			mv = nil // stale: it missed a delta
 		}
 		if !affected[i] {
 			// Truth bit-identical across the bump: carry the entry as-is.
@@ -212,14 +171,11 @@ func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.In
 				if f, err := getFrame(); err == nil {
 					if _, _, err := mv.view.ApplyFrame(f); err == nil {
 						mv.epoch = nextEpoch
-						liveViews[pk] = mv
+						liveViews[key] = mv
 					}
 				}
 			}
-			for _, k := range g.keys {
-				carried[k] = g.e
-			}
-			patchedCanon[pk] = g.e
+			carried[key] = e
 			continue
 		}
 		if heavy && (mv == nil || !mv.view.Flat()) {
@@ -232,7 +188,7 @@ func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.In
 			continue
 		}
 		if mv == nil {
-			v, err := table.NewMarginalView(baseIx, g.e.q)
+			v, err := table.NewMarginalView(baseIx, e.q)
 			if err != nil {
 				evicted++
 				continue
@@ -245,90 +201,10 @@ func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.In
 			evicted++
 			continue
 		}
-		ne := newMarginalEntry(g.e.q, newM)
-		for _, k := range g.keys {
-			carried[k] = ne
-		}
-		patchedCanon[pk] = ne
+		carried[key] = newMarginalEntry(e.q, newM)
 		mv.epoch = nextEpoch
-		liveViews[pk] = mv
-		patched++
-	}
-	for _, g := range derived {
-		if !affected[g.slot] {
-			for _, k := range g.keys {
-				carried[k] = g.e
-			}
-			continue
-		}
-		pk, ok := canonicalPlanKey(old.data.Schema(), g.e.q)
-		src := patchedCanon[pk]
-		if !ok || src == nil {
-			// No patched canonical sibling to derive from (it was evicted,
-			// or never cached): recompute on demand.
-			evicted++
-			continue
-		}
-		ne := newMarginalEntry(g.e.q, remapMarginal(src.m, g.e.q))
-		for _, k := range g.keys {
-			carried[k] = ne
-		}
+		liveViews[key] = mv
 		patched++
 	}
 	return carried, patched, evicted
-}
-
-// canonicalPlanKey derives the plan key of the canonical (schema-order)
-// spelling of q's attribute set.
-func canonicalPlanKey(schema *table.Schema, q *table.Query) (string, bool) {
-	idx := append([]int(nil), q.Attrs()...)
-	sort.Ints(idx)
-	names := make([]string, len(idx))
-	for i, a := range idx {
-		names[i] = schema.Attr(a).Name
-	}
-	cq, err := table.NewQuery(schema, names...)
-	if err != nil {
-		return "", false
-	}
-	return cq.PlanKey(), true
-}
-
-// survivingEntries partitions the old epoch's committed truths into
-// those the delta provably left bit-identical (carried into the new
-// cache) and those it may have changed (evicted, recomputed on
-// demand).
-func survivingEntries(old *marginalCache, baseIx, nextIx *table.Index, touched []int32) (map[string]*marginalEntry, int64) {
-	entries := old.committed()
-	if len(entries) == 0 {
-		return nil, 0
-	}
-	// One truth can be committed under several keys (the plan-key form
-	// plus request-order aliases), so the affected-cell check runs once
-	// per distinct entry and evictions count truths, not keys.
-	keys := make([]string, 0, len(entries))
-	uniq := make(map[*marginalEntry]int)
-	var qs []*table.Query
-	slot := make([]int, 0, len(entries))
-	for key, e := range entries {
-		keys = append(keys, key)
-		j, ok := uniq[e]
-		if !ok {
-			j = len(qs)
-			uniq[e] = j
-			qs = append(qs, e.q)
-		}
-		slot = append(slot, j)
-	}
-	affected := table.Affected(baseIx, nextIx, touched, qs)
-	carried := make(map[string]*marginalEntry)
-	evictedSet := make(map[*marginalEntry]bool)
-	for i, key := range keys {
-		if !affected[slot[i]] {
-			carried[key] = entries[key]
-		} else {
-			evictedSet[entries[key]] = true
-		}
-	}
-	return carried, int64(len(evictedSet))
 }

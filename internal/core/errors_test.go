@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -154,5 +155,109 @@ func TestReleaseForPerTenantAccounting(t *testing.T) {
 	}
 	if eps, _ := attached.Remaining(); eps != 98 {
 		t.Fatalf("attached remaining = %g, want 98", eps)
+	}
+}
+
+// TestRefusedRequestsTouchNothing pins admission before truth: every
+// release kind checks its parameters, its attribute list, its mechanism
+// and the accountant before it fetches a truth, so a request refused
+// with a 400 or a 429 scans, caches and draws nothing. Each refused
+// request names the full 8-attribute set in a new order — one truth of
+// it is ~44 MB on test data — so any truth fetched behind a refusal
+// shows in the heap at once.
+func TestRefusedRequestsTouchNothing(t *testing.T) {
+	p := testPublisher(t, 31)
+	schema := p.Dataset().Schema()
+	names := schema.Names()
+	acct, err := privacy.NewAccountant(privacy.WeakEREE, 0.1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelling := func(i int) []string {
+		return append(append([]string(nil), names[i:]...), names[:i]...)
+	}
+	firstCell := func(attrs []string) []string {
+		values := make([]string, len(attrs))
+		for i, a := range attrs {
+			values[i] = schema.Attr(schema.MustAttrIndex(a)).Value(0)
+		}
+		return values
+	}
+	s := dist.NewStreamFromSeed(1)
+	// Over budget: the weak-privacy d·ε surcharge alone exceeds ε = 1.
+	over := Request{Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
+	// Outside smooth-gamma's validity region (α+1 < e^(ε/5) fails).
+	invalid := Request{Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 0.2}
+	// Edge-DP and node-DP losses cannot be charged to a weak ER-EE budget.
+	edge := Request{Mechanism: MechEdgeLaplace, Eps: 0.5}
+	trunc := Request{Mechanism: MechTruncatedLaplace, Eps: 0.5, Theta: 10}
+	with := func(req Request, attrs []string) Request {
+		req.Attrs = attrs
+		return req
+	}
+	refusals := []struct {
+		name string
+		want error
+		call func(attrs []string) error
+	}{
+		{"marginal over budget", privacy.ErrBudgetExhausted, func(attrs []string) error {
+			_, err := p.ReleaseMarginalFor(acct, with(over, attrs), s)
+			return err
+		}},
+		{"marginal invalid mechanism", ErrInvalidRequest, func(attrs []string) error {
+			_, err := p.ReleaseMarginalFor(acct, with(invalid, attrs), s)
+			return err
+		}},
+		{"marginal incompatible loss", privacy.ErrIncompatibleLoss, func(attrs []string) error {
+			_, err := p.ReleaseMarginalFor(acct, with(edge, attrs), s)
+			return err
+		}},
+		{"truncated incompatible loss", privacy.ErrIncompatibleLoss, func(attrs []string) error {
+			_, err := p.ReleaseMarginalFor(acct, with(trunc, attrs), s)
+			return err
+		}},
+		{"cell over budget", privacy.ErrBudgetExhausted, func(attrs []string) error {
+			_, _, _, _, err := p.ReleaseSingleCellFor(acct, with(over, attrs), firstCell(attrs), s)
+			return err
+		}},
+		{"cell invalid mechanism", ErrInvalidRequest, func(attrs []string) error {
+			_, _, _, _, err := p.ReleaseSingleCellFor(acct, with(invalid, attrs), firstCell(attrs), s)
+			return err
+		}},
+		{"batch over budget", privacy.ErrBudgetExhausted, func(attrs []string) error {
+			_, err := p.ReleaseBatchFor(acct, []Request{with(over, attrs)}, s)
+			return err
+		}},
+		{"batch invalid mechanism", ErrInvalidRequest, func(attrs []string) error {
+			_, err := p.ReleaseBatchFor(nil, []Request{with(edge, attrs), with(invalid, attrs)}, s)
+			return err
+		}},
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	stats := p.MarginalCacheStats()
+	before := heap()
+	for i, r := range refusals {
+		if err := r.call(spelling(i + 1)); !errors.Is(err, r.want) {
+			t.Fatalf("%s: err = %v, want %v", r.name, err, r.want)
+		}
+	}
+	after := heap()
+	if got := p.MarginalCacheStats(); got != stats {
+		t.Errorf("refused requests moved the cache counters: %+v -> %+v", stats, got)
+	}
+	if n := len(p.snap.Load().cache.committed()); n != 0 {
+		t.Errorf("refused requests cached %d truths", n)
+	}
+	if after > before+1<<20 {
+		t.Errorf("refused requests grew the heap from %d to %d bytes", before, after)
+	}
+	if spent := acct.Spent(); spent.Eps != 0 || acct.Releases() != 0 {
+		t.Errorf("refused requests spent %+v over %d releases", spent, acct.Releases())
 	}
 }

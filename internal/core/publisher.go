@@ -92,9 +92,11 @@ type Release struct {
 	// Query is the compiled marginal query.
 	Query *table.Query
 	// Truth is the true marginal (confidential; retained for evaluation —
-	// a production deployment would not return it). It is shared with the
-	// publisher's marginal cache — and with every other release of the
-	// same attribute set — so it must be treated as read-only.
+	// a production deployment would not return it), in the request's
+	// attribute order. For the canonical (schema) order it is shared with
+	// the publisher's marginal cache and every other such release; for any
+	// other order it is a copy remapped for this release. Either way it
+	// must be treated as read-only.
 	Truth *table.Marginal
 	// Noisy holds the released counts, indexed by cell key.
 	Noisy []float64
@@ -135,16 +137,12 @@ type Publisher struct {
 	history   []*cacheCounters
 
 	// views holds the live maintenance state of cached canonical truths,
-	// keyed by plan key: the per-establishment contribution lists and
+	// keyed like the cache: the per-establishment contribution lists and
 	// per-cell top-K tracking that let Advance patch a truth in place
 	// instead of evicting it (table.MarginalView). Views are built
 	// lazily — on the first Advance that affects a cached truth — and
 	// consulted, mutated and pruned only under advanceMu.
 	views map[string]*maintainedView
-	// evictOnAdvance restores the pre-maintenance Advance semantics
-	// (affected entries evicted, recomputed on demand) as a differential
-	// oracle. Guarded by advanceMu.
-	evictOnAdvance bool
 }
 
 // maintainedView pairs one plan's maintenance state with the epoch its
@@ -166,21 +164,6 @@ func NewPublisher(d *lodes.Dataset) *Publisher {
 	p.snap.Store(sn)
 	p.history = []*cacheCounters{sn.cache.stats}
 	return p
-}
-
-// SetEvictOnAdvance selects what Advance does with cached truths the
-// delta affected: patch them in place (the default — incremental view
-// maintenance, counted in CacheStats.Patches) or evict them for
-// on-demand recomputation (the pre-maintenance behavior, kept as the
-// differential oracle the maintenance path is verified against).
-// Enabling eviction drops the accumulated maintenance state.
-func (p *Publisher) SetEvictOnAdvance(evict bool) {
-	p.advanceMu.Lock()
-	defer p.advanceMu.Unlock()
-	p.evictOnAdvance = evict
-	if evict {
-		p.views = make(map[string]*maintainedView)
-	}
 }
 
 // WithAccountant attaches a budget accountant; every subsequent release
@@ -316,8 +299,26 @@ func (p *Publisher) ReleaseMarginalFor(a *privacy.Accountant, req Request, s *di
 // exactly the bytes the response will carry; with wire determinism
 // that makes the record sufficient to recognize and replay a client
 // retry without charging twice. A nil tag charges untagged.
+//
+// The request is checked in full — parameters, attribute list,
+// mechanism, then the accountant's admission check — before its truth is
+// fetched, so a refused request scans, caches and draws nothing.
 func (p *Publisher) ReleaseMarginalTagged(a *privacy.Accountant, req Request, s *dist.Stream, tag *privacy.SpendTag) (*Release, error) {
-	rel, err := p.releaseUnaccounted(p.snap.Load(), req, s)
+	sn := p.snap.Load()
+	loss, err := lossFor(req, definitionFor(req.Mechanism, req.Attrs), sn.data.Schema())
+	if err != nil {
+		return nil, err
+	}
+	pr, err := sn.prepare(req, loss)
+	if err != nil {
+		return nil, err
+	}
+	if a != nil {
+		if err := a.Admit([]privacy.Loss{loss}); err != nil {
+			return nil, fmt.Errorf("core: release blocked: %w", err)
+		}
+	}
+	rel, err := sn.release(pr, s)
 	if err != nil {
 		return nil, err
 	}
@@ -340,59 +341,71 @@ func stampTag(tag *privacy.SpendTag, epoch int) *privacy.SpendTag {
 	return &t
 }
 
-// releaseUnaccounted builds a release without charging the accountant —
-// the shared core of ReleaseMarginal (which charges per release) and
-// ReleaseBatch (which charges the whole batch atomically).
-func (p *Publisher) releaseUnaccounted(sn *epochSnapshot, req Request, s *dist.Stream) (*Release, error) {
-	loss, err := lossFor(req, definitionFor(req.Mechanism, req.Attrs), sn.data.Schema())
-	if err != nil {
-		return nil, err
-	}
-	return p.releaseWithLoss(sn, req, loss, s)
+// prepared is a release request checked against everything but the
+// budget: its loss, its resolved attribute list, and its mechanism —
+// cell is nil exactly for truncated-laplace, which trunc then holds.
+type prepared struct {
+	loss  privacy.Loss
+	ref   truthRef
+	cell  mech.CellMechanism
+	trunc mech.TruncatedLaplace
 }
 
-// releaseWithLoss builds a release for a request whose loss the caller
-// has already derived (ReleaseBatch derives every loss once, upfront).
-// The release reads only the pinned snapshot, never the publisher's
-// current one — snapshot isolation is this one parameter.
-func (p *Publisher) releaseWithLoss(sn *epochSnapshot, req Request, loss privacy.Loss, s *dist.Stream) (*Release, error) {
-	entry, err := sn.marginalFor(req.Attrs)
+// prepare resolves the request's attribute list and builds its
+// mechanism on the pinned snapshot without fetching any truth. An
+// unknown attribute list is reported before invalid mechanism
+// parameters.
+func (sn *epochSnapshot) prepare(req Request, loss privacy.Loss) (prepared, error) {
+	ref, err := sn.resolve(req.Attrs)
+	if err != nil {
+		return prepared{}, err
+	}
+	pr := prepared{loss: loss, ref: ref}
+	if req.Mechanism == MechTruncatedLaplace {
+		if pr.trunc, err = mech.NewTruncatedLaplace(req.Eps, req.Theta); err != nil {
+			return prepared{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		}
+		return pr, nil
+	}
+	if pr.cell, err = cellMechanism(req); err != nil {
+		return prepared{}, err
+	}
+	return pr, nil
+}
+
+// release fetches a prepared request's truth and draws its noise, both
+// from the pinned snapshot, never the publisher's current one —
+// snapshot isolation is this one receiver. It charges nothing: the
+// single-release paths charge per release, ReleaseBatch the whole batch
+// atomically.
+func (sn *epochSnapshot) release(pr prepared, s *dist.Stream) (*Release, error) {
+	entry, err := sn.truth(pr.ref)
 	if err != nil {
 		return nil, err
 	}
-	q, truth := entry.q, entry.m
 	// Fold the pinned epoch into the noise derivation (see epochStream):
 	// the same caller stream on successive epochs draws independent
 	// noise, so differencing releases across an Advance cannot cancel
 	// the noise and recover the underlying counts.
 	s = epochStream(s, sn.epoch)
 
-	rel := &Release{Epoch: sn.epoch, Query: q, Truth: truth, Loss: loss}
-	switch req.Mechanism {
-	case MechTruncatedLaplace:
-		m, err := mech.NewTruncatedLaplace(req.Eps, req.Theta)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-		}
-		noisy, trunc, err := m.ReleaseMarginal(sn.data.WorkerFull, q, s)
+	rel := &Release{Epoch: sn.epoch, Query: entry.q, Truth: entry.m, Loss: pr.loss}
+	if pr.cell == nil {
+		noisy, trunc, err := pr.trunc.ReleaseMarginal(sn.data.WorkerFull, entry.q, s)
 		if err != nil {
 			return nil, err
 		}
 		rel.Noisy = noisy
 		rel.Truncation = trunc
-		rel.MechanismName = m.Name()
-	default:
-		m, err := cellMechanism(req)
-		if err != nil {
-			return nil, err
-		}
-		noisy, err := mech.ReleaseCells(m, entry.cells, s)
-		if err != nil {
-			return nil, err
-		}
-		rel.Noisy = noisy
-		rel.MechanismName = m.Name()
+		rel.MechanismName = pr.trunc.Name()
+		return rel, nil
 	}
+	noisy, err := mech.ReleaseCells(pr.cell, entry.cells, s)
+	if err != nil {
+		return nil, err
+	}
+	rel.Noisy = noisy
+	rel.MechanismName = pr.cell.Name()
 	return rel, nil
 }
 
@@ -424,8 +437,8 @@ func (p *Publisher) ReleaseSingleCellTagged(a *privacy.Accountant, req Request, 
 	if req.Mechanism == MechTruncatedLaplace {
 		return 0, 0, privacy.Loss{}, epoch, fmt.Errorf("%w: single-cell release not defined for truncated-laplace", ErrInvalidRequest)
 	}
-	// Cheap parameter validation first, so a malformed request is
-	// rejected before it can trigger (and cache) a full-table scan.
+	// Every check comes before the truth fetch, so a refused request never
+	// triggers (or caches) a full-table scan.
 	def := definitionFor(req.Mechanism, req.Attrs)
 	alpha := req.Alpha
 	if def == privacy.EdgeDP {
@@ -439,23 +452,30 @@ func (p *Publisher) ReleaseSingleCellTagged(a *privacy.Accountant, req Request, 
 	if err != nil {
 		return 0, 0, privacy.Loss{}, epoch, err
 	}
-	// One cell never justifies a fresh full-table scan (or even a fresh
-	// query compilation): serve the cell's statistics from the pinned
-	// snapshot's marginal cache, whose entry carries the compiled query
-	// in the request's attribute order.
-	entry, err := sn.marginalFor(req.Attrs)
+	ref, err := sn.resolve(req.Attrs)
 	if err != nil {
 		return 0, 0, privacy.Loss{}, epoch, err
 	}
-	cell, err := entry.q.CellKeyForValues(cellValues...)
+	cell, err := ref.q.CellKeyForValues(cellValues...)
 	if err != nil {
 		return 0, 0, privacy.Loss{}, epoch, fmt.Errorf("%w: %v", ErrUnknownCell, err)
 	}
-	marg := entry.m
-	in := entry.cells[cell]
+	if a != nil {
+		if err := a.Admit([]privacy.Loss{loss}); err != nil {
+			return 0, 0, privacy.Loss{}, epoch, fmt.Errorf("core: release blocked: %w", err)
+		}
+	}
+	// One cell never justifies a fresh full-table scan, or a remap of the
+	// whole marginal: read the cell's statistics straight from the
+	// canonical truth in the pinned snapshot's cache.
+	entry, err := sn.canonical(ref)
+	if err != nil {
+		return 0, 0, privacy.Loss{}, epoch, err
+	}
+	cell = ref.canonicalCell(cell)
 	// Same epoch folding as the marginal path (see epochStream): a
 	// stream reused across an Advance draws fresh noise for the cell.
-	v, err := m.ReleaseCell(in, epochStream(s, sn.epoch))
+	v, err := m.ReleaseCell(entry.cells[cell], epochStream(s, sn.epoch))
 	if err != nil {
 		return 0, 0, privacy.Loss{}, epoch, err
 	}
@@ -464,7 +484,7 @@ func (p *Publisher) ReleaseSingleCellTagged(a *privacy.Accountant, req Request, 
 			return 0, 0, privacy.Loss{}, epoch, fmt.Errorf("core: release blocked: %w", err)
 		}
 	}
-	return v, marg.Counts[cell], loss, epoch, nil
+	return v, entry.m.Counts[cell], loss, epoch, nil
 }
 
 // CellInputs converts a computed marginal into the per-cell inputs the

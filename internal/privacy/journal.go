@@ -84,28 +84,14 @@ func (a *Accountant) SpendTagged(l Loss, tag *SpendTag) error {
 // reproduces the spent totals bit-for-bit — and a journal failure
 // aborts the charge with ErrPersistence.
 func (a *Accountant) SpendAllTagged(losses []Loss, tag *SpendTag) error {
-	var sumEps, sumDelta float64
-	for _, l := range losses {
-		if !Implies(l.Def, a.def) || l.Alpha != a.alpha {
-			return fmt.Errorf("%w: accountant is for %v(alpha=%g), got %v", ErrIncompatibleLoss, a.def, a.alpha, l)
-		}
-		if err := l.Validate(); err != nil {
-			// Wrap in the sentinel so a serving layer classifies a
-			// malformed loss as bad input (4xx), not a server fault.
-			return fmt.Errorf("%w: %v", ErrInvalidLoss, err)
-		}
-		sumEps += l.Eps
-		sumDelta += l.Delta
+	sumEps, sumDelta, err := a.total(losses)
+	if err != nil {
+		return err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.spentEps+sumEps > a.budgetEps+1e-12 {
-		return fmt.Errorf("%w: eps spent %g + %g > %g",
-			ErrBudgetExhausted, a.spentEps, sumEps, a.budgetEps)
-	}
-	if a.spentDelta+sumDelta > a.budgetDelta+1e-15 {
-		return fmt.Errorf("%w: delta spent %g + %g > %g",
-			ErrBudgetExhausted, a.spentDelta, sumDelta, a.budgetDelta)
+	if err := a.admitLocked(sumEps, sumDelta); err != nil {
+		return err
 	}
 	if a.journal != nil {
 		rec := SpendRecord{Tenant: a.tenant, Eps: sumEps, Delta: sumDelta, Releases: len(losses)}
@@ -124,6 +110,66 @@ func (a *Accountant) SpendAllTagged(losses []Loss, tag *SpendTag) error {
 	cur.Eps += sumEps
 	cur.Delta += sumDelta
 	cur.Releases += len(losses)
+	return nil
+}
+
+// Admit returns the error SpendAll(losses) would fail with against the
+// current balance, or nil, without spending or journaling anything.
+// Release paths call it before they pay for a truth and its noise, so a
+// request the accountant refuses costs nothing. The charge itself stays
+// authoritative: a concurrent spend can still refuse what Admit
+// accepted, while spent budget never shrinks, so anything Admit refuses
+// a later charge refuses too.
+func (a *Accountant) Admit(losses []Loss) error {
+	sumEps, sumDelta, err := a.total(losses)
+	if err != nil {
+		return err
+	}
+	return a.AdmitTotal(sumEps, sumDelta)
+}
+
+// AdmitTotal is Admit for an already-summed charge of (eps, delta): it
+// applies only the budget check, with no per-loss compatibility or
+// validity checks. A batch release uses it to refuse an over-budget
+// batch before anything else about the batch is checked, the order its
+// errors have always come in.
+func (a *Accountant) AdmitTotal(eps, delta float64) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.admitLocked(eps, delta)
+}
+
+// total checks each loss against the accountant's definition and α and
+// for validity, and sums the batch's (ε, δ).
+func (a *Accountant) total(losses []Loss) (sumEps, sumDelta float64, err error) {
+	for _, l := range losses {
+		if !Implies(l.Def, a.def) || l.Alpha != a.alpha {
+			return 0, 0, fmt.Errorf("%w: accountant is for %v(alpha=%g), got %v", ErrIncompatibleLoss, a.def, a.alpha, l)
+		}
+		if err := l.Validate(); err != nil {
+			// Wrap in the sentinel so a serving layer classifies a
+			// malformed loss as bad input (4xx), not a server fault.
+			return 0, 0, fmt.Errorf("%w: %v", ErrInvalidLoss, err)
+		}
+		sumEps += l.Eps
+		sumDelta += l.Delta
+	}
+	return sumEps, sumDelta, nil
+}
+
+// admitLocked is the accountant's one admission predicate: a further
+// charge of (eps, delta) fits when neither running total would exceed
+// its budget beyond the float tolerance. Every admission check and every
+// charge goes through it. The caller holds a.mu.
+func (a *Accountant) admitLocked(eps, delta float64) error {
+	if a.spentEps+eps > a.budgetEps+1e-12 {
+		return fmt.Errorf("%w: eps spent %g + %g > %g",
+			ErrBudgetExhausted, a.spentEps, eps, a.budgetEps)
+	}
+	if a.spentDelta+delta > a.budgetDelta+1e-15 {
+		return fmt.Errorf("%w: delta spent %g + %g > %g",
+			ErrBudgetExhausted, a.spentDelta, delta, a.budgetDelta)
+	}
 	return nil
 }
 

@@ -279,3 +279,53 @@ func TestRestoreOverBudgetRefusesFurtherCharges(t *testing.T) {
 		t.Fatalf("charge on over-budget accountant: %v, want ErrBudgetExhausted", err)
 	}
 }
+
+// TestAdmitMatchesSpend: Admit refuses exactly what a charge of the same
+// losses would refuse, with the same error, and neither spends nor
+// journals anything; AdmitTotal applies the budget half alone.
+func TestAdmitMatchesSpend(t *testing.T) {
+	weak := func(alpha, eps float64) Loss { return Loss{Def: WeakEREE, Alpha: alpha, Eps: eps} }
+	cases := []struct {
+		name   string
+		losses []Loss
+	}{
+		{"fits", []Loss{weak(0.1, 0.2), weak(0.1, 0.3)}},
+		{"fits exactly", []Loss{weak(0.1, 0.5), weak(0.1, 0.2)}},
+		{"over budget", []Loss{weak(0.1, 0.5), weak(0.1, 0.3)}},
+		{"strong implies weak", []Loss{{Def: StrongEREE, Alpha: 0.1, Eps: 0.4}}},
+		{"incompatible alpha", []Loss{weak(0.2, 0.1)}},
+		{"incompatible definition", []Loss{{Def: EdgeDP, Eps: 0.1}}},
+		{"invalid", []Loss{weak(0.1, -1)}},
+	}
+	for _, c := range cases {
+		j := &fakeJournal{}
+		a, err := NewAccountant(WeakEREE, 0.1, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.AttachJournal(j, "t")
+		if err := a.Spend(weak(0.1, 0.3)); err != nil {
+			t.Fatal(err)
+		}
+		admitErr := a.Admit(c.losses)
+		if got := a.Spent().Eps; got != 0.3 || len(j.spends) != 1 {
+			t.Fatalf("%s: Admit spent (eps %g, %d records)", c.name, got, len(j.spends))
+		}
+		spendErr := a.SpendAll(c.losses)
+		if (admitErr == nil) != (spendErr == nil) ||
+			(admitErr != nil && admitErr.Error() != spendErr.Error()) {
+			t.Errorf("%s: Admit = %v, SpendAll = %v", c.name, admitErr, spendErr)
+		}
+	}
+
+	a, err := NewAccountant(WeakEREE, 0.1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AdmitTotal(1, 0); err != nil {
+		t.Errorf("AdmitTotal(1, 0) on a fresh budget of 1 = %v", err)
+	}
+	if err := a.AdmitTotal(1.5, 0); !errors.Is(err, ErrBudgetExhausted) {
+		t.Errorf("AdmitTotal(1.5, 0) = %v, want ErrBudgetExhausted", err)
+	}
+}

@@ -55,15 +55,6 @@ type Index struct {
 	// computes one marginal over a freshly truncated table per release —
 	// only pays the gather for the columns it actually queries.
 	cols []lazyCol
-	// packMu guards packs, the per-plan cache of bit-packed composite-key
-	// columns (see pack.go). The map is tiny (one entry per distinct
-	// canonical attribute set ever queried); builds happen outside the
-	// lock under each entry's own once-guard, mirroring cols.
-	packMu sync.Mutex
-	packs  map[string]*packedPlan
-	// noPack disables the packed fast path (tests use it to force the
-	// unpacked kernel as the differential oracle).
-	noPack bool
 	// maxGroup is the largest group size, for sizing per-worker scratch.
 	maxGroup int
 
@@ -387,22 +378,15 @@ func (ix *Index) computeQueries(qs []*Query, detailed bool) ([]*Marginal, [][]Ce
 			maxSize = q.size
 		}
 	}
-	// Resolve each query's scan plan once. Packable queries read the
-	// bit-packed composite-key column (built lazily per canonical
-	// attribute set, see pack.go); the rest stream the per-attribute
-	// index-order materializations. The resolved views are read-only and
-	// shared by every worker.
-	plans := make([]scanPlan, len(qs))
+	// Resolve each query's index-order column views once; they are
+	// read-only and shared by every worker.
+	plans := make([][][]uint16, len(qs))
 	for k, q := range qs {
-		if pc := ix.packedFor(q); pc != nil {
-			plans[k].pc = pc
-			continue
-		}
 		cols := make([][]uint16, len(q.attrs))
 		for i, a := range q.attrs {
 			cols[i] = ix.col(a)
 		}
-		plans[k].cols = cols
+		plans[k] = cols
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > ix.NumGroups() {
@@ -507,14 +491,6 @@ func (ix *Index) shardGroups(workers int) [][2]int {
 	return shards
 }
 
-// scanPlan is one query's resolved scan inputs: either the bit-packed
-// composite-key column (pc != nil, the fast path) or the per-attribute
-// index-order column views for the unpacked fallback kernel.
-type scanPlan struct {
-	cols [][]uint16
-	pc   *packedColumn
-}
-
 // scanShard accumulates the groups [gLo, gHi) into the scratch's
 // per-query partials with the sort-free scatter kernel: each group is a
 // single O(g) pass that counts cell keys into the scatch array, records
@@ -522,25 +498,12 @@ type scanPlan struct {
 // order is first-touch order — sums, top-two tracking and entity counts
 // are order-free, and the detailed histogram is sorted afterwards, so
 // the results are identical to the sorted-runs kernel this replaces.
-// Packed and unpacked plans visit rows in the same order and compute the
-// same mixed-radix keys, so the two kernels are bit-identical.
-func (ix *Index) scanShard(gLo, gHi int, qs []*Query, plans []scanPlan, sc *scanScratch, detailed bool) {
+// plans[k] holds query k's index-order column views.
+func (ix *Index) scanShard(gLo, gHi int, qs []*Query, plans [][][]uint16, sc *scanScratch, detailed bool) {
 	cells, touched := sc.cells, sc.touched
 	for k, q := range qs {
 		p := sc.ps[k]
-		if pc := plans[k].pc; pc != nil {
-			for g := gLo; g < gHi; g++ {
-				lo, hi := int(ix.starts[g]), int(ix.starts[g+1])
-				entity := ix.entities[g]
-				if hi-lo == 1 {
-					p.addRun(pc.key(lo), entity, 1, detailed)
-					continue
-				}
-				pc.foldRuns(p, lo, hi, entity, detailed)
-			}
-			continue
-		}
-		cols := plans[k].cols
+		cols := plans[k]
 		for g := gLo; g < gHi; g++ {
 			lo, hi := int(ix.starts[g]), int(ix.starts[g+1])
 			entity := ix.entities[g]

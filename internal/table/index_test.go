@@ -165,3 +165,60 @@ func TestIndexConcurrentReaders(t *testing.T) {
 		marginalsEqual(t, m, want, fmt.Sprintf("concurrent reader %d", i))
 	}
 }
+
+// TestSortedIndexIdentityMode pins the streaming index build: tables
+// appended in non-decreasing entity order (every generated LODES frame)
+// index with no row permutation at all, while out-of-order or anonymous
+// tables fall back to the counting sort — and both modes produce
+// marginals and per-entity histograms identical to the oracle's.
+func TestSortedIndexIdentityMode(t *testing.T) {
+	s := testSchema()
+	sorted := New(s)
+	rng := rand.New(rand.NewSource(299792))
+	for e := int32(0); e < 40; e++ {
+		for i := 0; i < int(e%5)+1; i++ {
+			sorted.AppendRow(e, rng.Intn(3), rng.Intn(2), rng.Intn(2))
+		}
+	}
+	ix := BuildIndex(sorted)
+	if ix.rows != nil {
+		t.Fatal("entity-sorted table built a permutation index; want identity mode")
+	}
+
+	shuffled := New(s)
+	perm := rng.Perm(sorted.NumRows())
+	for _, row := range perm {
+		codes := make([]int, s.NumAttrs())
+		for a := range codes {
+			codes[a] = sorted.Code(row, a)
+		}
+		shuffled.AppendRow(sorted.Entity(row), codes...)
+	}
+	if sx := BuildIndex(shuffled); sx.rows == nil {
+		t.Fatal("shuffled table indexed in identity mode")
+	}
+
+	anon := New(s)
+	anon.AppendRow(-1, 0, 0, 0)
+	if ax := BuildIndex(anon); ax.rows == nil {
+		t.Fatal("anonymous rows must take the counting-sort path (negative entities)")
+	}
+
+	q := MustNewQuery(s, "place", "sex")
+	wantM, wantH := ComputeReferenceDetailed(sorted, q)
+	for _, c := range []struct {
+		label string
+		tab   *Table
+	}{{"identity-mode", sorted}, {"permuted-mode", shuffled}} {
+		gotM, gotH := c.tab.Index().ComputeDetailed(q)
+		marginalsEqual(t, gotM, wantM, c.label)
+		if len(gotH) != len(wantH) {
+			t.Fatalf("%s: histogram length %d, want %d", c.label, len(gotH), len(wantH))
+		}
+		for i := range gotH {
+			if gotH[i] != wantH[i] {
+				t.Fatalf("%s: histogram[%d] = %+v, want %+v", c.label, i, gotH[i], wantH[i])
+			}
+		}
+	}
+}

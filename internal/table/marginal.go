@@ -21,17 +21,8 @@ type Query struct {
 
 	// planKey is the canonical plan handle: the query's attribute
 	// positions encoded as big-endian uint16 pairs, set only when attrs
-	// are in canonical (strictly ascending schema) order. It keys both
-	// the index's packed-column cache and — prefixed — the publisher's
-	// canonical marginal-cache shards, so a cached truth and its packed
-	// scan column are the same plan by construction.
+	// are in canonical (strictly ascending schema) order.
 	planKey string
-	// packWidth is the packed cell-key width, ⌈log2(size)⌉ (min 1).
-	packWidth uint
-	// packable reports whether the query scans via the packed kernel: a
-	// non-empty canonical attribute set whose key width fits
-	// maxPackedWidth. Everything else takes the unpacked fallback.
-	packable bool
 }
 
 // NewQuery compiles a marginal query over the named attributes.
@@ -58,8 +49,6 @@ func NewQuery(schema *Schema, names ...string) (*Query, error) {
 			enc[2*i+1] = byte(a)
 		}
 		q.planKey = string(enc)
-		q.packWidth = packedKeyWidth(q.size)
-		q.packable = len(attrs) > 0 && q.packWidth <= maxPackedWidth
 	}
 	return q, nil
 }
@@ -79,9 +68,12 @@ func (q *Query) Schema() *Schema { return q.schema }
 // PlanKey returns the query's canonical plan handle: a compact encoding
 // of its attribute positions, non-empty exactly when the attributes are
 // in canonical (strictly ascending schema) order — q∅, the empty query,
-// canonically encodes to "". Queries sharing a plan key share the
-// index's packed scan column, and the publisher derives its canonical
-// cache keys from the same handle. Non-canonical queries return "".
+// canonically encodes to "". Non-canonical queries return "". Queries
+// compiled separately over the same canonical attribute list share it,
+// so it names one attribute set compactly. (The publisher's truth cache
+// holds one entry per canonical attribute set, keyed by the canonical
+// spelling's attribute names so a hit needs no name resolution; any
+// other attribute order is served by remapping that entry per request.)
 func (q *Query) PlanKey() string { return q.planKey }
 
 // Attrs returns the schema positions of the query's attributes.

@@ -61,7 +61,7 @@ if [[ $multicore -eq 1 ]]; then
   out="${1:-bench_multicore.txt}"
   echo "== multicore sweep (-benchtime 2s -cpu 1,2,4,8) ==" | tee "$out"
   go test -run '^$' \
-    -bench 'BenchmarkMarginalCompute$|BenchmarkMarginalComputeUnpacked$|BenchmarkComputeAllWorkloads$|BenchmarkReleaseBatch$|BenchmarkPublisherMarginalConcurrent$|BenchmarkReleaseCellsParallel$' \
+    -bench 'BenchmarkMarginalComputeUnpacked$|BenchmarkReleaseBatch$|BenchmarkPublisherMarginalConcurrent$|BenchmarkReleaseCellsParallel$' \
     -benchtime 2s -cpu 1,2,4,8 -timeout 60m . | tee -a "$out"
   go run ./scripts/benchgate -emit-multicore BENCH_multicore.json -output "$out"
   echo

@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'MarginalCompute$|ReleaseCellsSequential$' . > bench.txt
+//	go test -run '^$' -bench 'MarginalComputeUnpacked$|ReleaseCellsSequential$' . > bench.txt
 //	go run ./scripts/benchgate -baseline BENCH_scan_kernel.json,BENCH_release_path.json -output bench.txt
 //
-//	go test -run '^$' -bench 'MarginalCompute$' -cpu 1,2,4,8 . > sweep.txt
+//	go test -run '^$' -bench 'MarginalComputeUnpacked$' -cpu 1,2,4,8 . > sweep.txt
 //	go run ./scripts/benchgate -emit-multicore BENCH_multicore.json -output sweep.txt
 //
 // Each baseline file's "gate" object maps benchmark names to reference
