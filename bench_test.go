@@ -344,19 +344,20 @@ func BenchmarkPublisherMarginal(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(int64(i))); err != nil {
+		if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(int64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPublisherMarginalUncached measures the same release with the
-// marginal cache disabled: every iteration recomputes the truth via the
-// indexed engine (the table-level index is still reused). The true seed
-// baseline is BenchmarkMarginalComputeReference plus noise.
+// BenchmarkPublisherMarginalUncached measures the same release on a
+// cold cache: every iteration builds a fresh publisher, so it recomputes
+// the truth via the indexed engine (the index is cached on the table and
+// still reused). The true seed baseline is
+// BenchmarkMarginalComputeReference plus noise.
 func BenchmarkPublisherMarginalUncached(b *testing.B) {
-	p := core.NewPublisher(benchDataset(b))
-	p.SetMarginalCacheEnabled(false)
+	d := benchDataset(b)
+	d.WorkerFull.Index()
 	req := core.Request{
 		Attrs:     []string{lodes.AttrPlace, lodes.AttrIndustry, lodes.AttrOwnership},
 		Mechanism: core.MechSmoothLaplace,
@@ -364,7 +365,8 @@ func BenchmarkPublisherMarginalUncached(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(int64(i))); err != nil {
+		p := core.NewPublisher(d)
+		if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(int64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,14 +386,14 @@ func BenchmarkPublisherMarginalConcurrent(b *testing.B) {
 		Mechanism: core.MechSmoothLaplace,
 		Alpha:     0.1, Eps: 2, Delta: 0.05,
 	}
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(0)); err != nil {
+	if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(0), nil); err != nil {
 		b.Fatal(err) // warm the cache: the benchmark is the serving steady state
 	}
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(seq.Add(1))); err != nil {
+			if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(seq.Add(1)), nil); err != nil {
 				// b.Fatal is not legal off the benchmark goroutine.
 				b.Error(err)
 				return
@@ -426,7 +428,7 @@ func BenchmarkPublisherSingleCellConcurrent(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, _, err := p.ReleaseSingleCell(req, cellValues, dist.NewStreamFromSeed(seq.Add(1))); err != nil {
+			if _, _, _, _, err := p.ReleaseSingleCell(nil, req, cellValues, dist.NewStreamFromSeed(seq.Add(1)), nil); err != nil {
 				b.Error(err)
 				return
 			}
@@ -449,14 +451,14 @@ func BenchmarkReleaseBatchConcurrent(b *testing.B) {
 			core.Request{Attrs: attrs, Mechanism: core.MechSmoothLaplace, Alpha: 0.1, Eps: eps, Delta: 0.05},
 		)
 	}
-	if _, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(0)); err != nil {
+	if _, err := p.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(0), nil); err != nil {
 		b.Fatal(err)
 	}
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			rels, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(seq.Add(1)))
+			rels, err := p.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(seq.Add(1)), nil)
 			if err != nil {
 				b.Error(err)
 				return
@@ -485,7 +487,7 @@ func BenchmarkReleaseBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rels, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(int64(i)))
+		rels, err := p.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(int64(i)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -852,7 +854,7 @@ func BenchmarkReleaseDuringAdvance(b *testing.B) {
 		Mechanism: core.MechSmoothLaplace,
 		Alpha:     0.1, Eps: 2, Delta: 0.05,
 	}
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(0)); err != nil {
+	if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(0), nil); err != nil {
 		b.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -882,7 +884,7 @@ func BenchmarkReleaseDuringAdvance(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(int64(i))); err != nil {
+		if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(int64(i)), nil); err != nil {
 			b.Error(err)
 			break
 		}
@@ -983,7 +985,7 @@ func BenchmarkLargeScaleReleaseBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rels, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(int64(i)))
+		rels, err := p.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(int64(i)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1005,7 +1007,7 @@ func BenchmarkLargeScaleWorkload3Release(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(int64(i))); err != nil {
+		if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(int64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1034,7 +1036,7 @@ func BenchmarkLargeScaleSingleCells(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := p.ReleaseSingleCell(req, cellValues, dist.NewStreamFromSeed(int64(i))); err != nil {
+		if _, _, _, _, err := p.ReleaseSingleCell(nil, req, cellValues, dist.NewStreamFromSeed(int64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,7 +106,7 @@ func run(args []string, out io.Writer) error {
 				pub.Epoch(), pub.Dataset().NumJobs(), pub.Dataset().NumEstablishments())
 		}
 	}
-	rel, err := pub.ReleaseMarginal(req, eree.NewStream(*seed))
+	rel, err := pub.ReleaseMarginal(nil, req, eree.NewStream(*seed), nil)
 	if err != nil {
 		return err
 	}

@@ -269,12 +269,12 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request, t *privac
 	digest := requestDigest(digestRelease, []core.Request{req}, nil)
 	stream := s.requestStream(t.Name, seq, digest)
 	if s.replayed(t.Name, seq, digest) {
-		if rel, err := s.pub.ReleaseMarginalFor(nil, req, stream); err == nil && rel.Epoch == s.pub.Epoch() {
+		if rel, err := s.pub.ReleaseMarginal(nil, req, stream, nil); err == nil && rel.Epoch == s.pub.Epoch() {
 			writeRelease(w, releaseToJSON(rel, seq, req.Attrs))
 			return
 		}
 	}
-	rel, err := s.pub.ReleaseMarginalTagged(t.Acct, req, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
+	rel, err := s.pub.ReleaseMarginal(t.Acct, req, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
 	if err != nil {
 		writeError(w, err, t.Acct)
 		return
@@ -303,7 +303,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, t *privacy.
 	digest := requestDigest(digestBatch, reqs, nil)
 	stream := s.requestStream(t.Name, seq, digest)
 	if s.replayed(t.Name, seq, digest) {
-		if rels, err := s.pub.ReleaseBatchFor(nil, reqs, stream); err == nil &&
+		if rels, err := s.pub.ReleaseBatch(nil, reqs, stream, nil); err == nil &&
 			len(rels) > 0 && rels[0].Epoch == s.pub.Epoch() {
 			out := batchJSON{Seq: seq, Releases: make([]releaseJSON, len(rels))}
 			for i, rel := range rels {
@@ -313,7 +313,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, t *privacy.
 			return
 		}
 	}
-	rels, err := s.pub.ReleaseBatchTagged(t.Acct, reqs, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
+	rels, err := s.pub.ReleaseBatch(t.Acct, reqs, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
 	if err != nil {
 		writeError(w, err, t.Acct)
 		return
@@ -350,7 +350,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request, t *privacy.T
 	digest := requestDigest(digestCell, []core.Request{req}, values)
 	stream := s.requestStream(t.Name, seq, digest)
 	if s.replayed(t.Name, seq, digest) {
-		if noisy, _, loss, epoch, err := s.pub.ReleaseSingleCellFor(nil, req, values, stream); err == nil && epoch == s.pub.Epoch() {
+		if noisy, _, loss, epoch, err := s.pub.ReleaseSingleCell(nil, req, values, stream, nil); err == nil && epoch == s.pub.Epoch() {
 			writeRelease(w, cellJSON{
 				Epoch: epoch, Seq: seq, Attrs: req.Attrs, Values: values,
 				Loss: lossToJSON(loss), Count: noisy,
@@ -358,7 +358,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request, t *privacy.T
 			return
 		}
 	}
-	noisy, _, loss, epoch, err := s.pub.ReleaseSingleCellTagged(t.Acct, req, values, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
+	noisy, _, loss, epoch, err := s.pub.ReleaseSingleCell(t.Acct, req, values, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
 	if err != nil {
 		writeError(w, err, t.Acct)
 		return

@@ -222,7 +222,7 @@ func TestRequestNoiseSeparation(t *testing.T) {
 
 	// True replay: B recomputed offline on its own digest reproduces the
 	// wire bytes exactly.
-	relB, err := srv.pub.ReleaseMarginalFor(nil, reqB, streamFor(requestDigest(digestRelease, []core.Request{reqB}, nil)))
+	relB, err := srv.pub.ReleaseMarginal(nil, reqB, streamFor(requestDigest(digestRelease, []core.Request{reqB}, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRequestNoiseSeparation(t *testing.T) {
 	// The differencing attack's precondition: B drawn from A's stream —
 	// what a digest-less (tenant, seq)-only derivation would produce —
 	// must NOT be what the server actually sent.
-	relShared, err := srv.pub.ReleaseMarginalFor(nil, reqB, streamFor(requestDigest(digestRelease, []core.Request{reqA}, nil)))
+	relShared, err := srv.pub.ReleaseMarginal(nil, reqB, streamFor(requestDigest(digestRelease, []core.Request{reqA}, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +595,7 @@ func TestServeDuringAdvanceFleet(t *testing.T) {
 		}
 		epochsSeen[got.Epoch]++
 		stream := root.Split("tenant:alpha").SplitIndex("req", int(o.seq)).Split("body:" + digest)
-		rel, err := pubs[got.Epoch].ReleaseMarginalFor(nil, req, stream)
+		rel, err := pubs[got.Epoch].ReleaseMarginal(nil, req, stream, nil)
 		if err != nil {
 			t.Fatalf("seq %d: offline recomputation: %v", o.seq, err)
 		}

@@ -179,8 +179,8 @@ func (r *recReader) done() error {
 // after its boot compaction), every staged record is also applied to
 // the shadow — a persistentState maintained in exact log order, which
 // is what log replay would reconstruct. The shadow is what periodic
-// digest records are computed over: every digestEvery records the
-// journal stages a recDigest carrying SHA-256 over the canonical
+// digest records are computed over: every digestEveryDefault records
+// the journal stages a recDigest carrying SHA-256 over the canonical
 // state body, and any replayer (recovery, a streaming follower)
 // recomputes and compares at the same log position. Staging — record
 // ordering plus shadow application — happens under p.mu; the fsync
@@ -190,19 +190,14 @@ type Persistence struct {
 
 	mu          sync.Mutex
 	shadow      *persistentState
-	digestEvery int
 	sinceDigest int
 }
 
 // setShadow attaches the log-ordered shadow state digests are
-// computed over. digestEvery ≤ 0 selects the default cadence.
-func (p *Persistence) setShadow(st *persistentState, digestEvery int) {
-	if digestEvery <= 0 {
-		digestEvery = digestEveryDefault
-	}
+// computed over.
+func (p *Persistence) setShadow(st *persistentState) {
 	p.mu.Lock()
 	p.shadow = st
-	p.digestEvery = digestEvery
 	p.sinceDigest = 0
 	p.mu.Unlock()
 }
@@ -228,7 +223,7 @@ func (p *Persistence) append(rec []byte) error {
 			return fmt.Errorf("server: shadow state apply: %w", aerr)
 		}
 		p.sinceDigest++
-		if p.sinceDigest >= p.digestEvery {
+		if p.sinceDigest >= digestEveryDefault {
 			d := digestOf(p.shadow)
 			var w recWriter
 			w.u8(recDigest)

@@ -132,10 +132,9 @@ type Server struct {
 	fenceMu sync.Mutex
 	// repl holds the follower's streaming state; nil on primaries.
 	repl *replState
-	// replayWindow and digestEvery are the configured replication/
-	// durability cadences (defaults applied in newServer).
+	// replayWindow is the configured replay-dedup ring bound (0 selects
+	// the default).
 	replayWindow int
-	digestEvery  int
 }
 
 // Roles (Server.role).
@@ -180,9 +179,6 @@ type Options struct {
 	// means the default (4096). Primary and followers must agree — the
 	// ring is covered by the divergence digests.
 	ReplayWindow int
-	// DigestEvery is how many journaled records elapse between state
-	// digest records; 0 means the default (8).
-	DigestEvery int
 	// ReplPoll is the follower's delay between stream polls when the
 	// primary is unreachable or idle; 0 means the default (250ms).
 	// Tests shorten it.
@@ -213,7 +209,6 @@ func newServer(pub *core.Publisher, reg *privacy.Registry, opts Options) *Server
 		replay:       newReplayCache(opts.ReplayWindow),
 		maxInFlight:  maxInFlight,
 		replayWindow: opts.ReplayWindow,
-		digestEvery:  opts.DigestEvery,
 	}
 	// Every node starts at term 1 until recovery or a stream says
 	// otherwise; an in-memory server keeps it.
@@ -433,7 +428,7 @@ func (s *Server) compactPrimary() error {
 		return fmt.Errorf("server: compaction round-trip: %w", err)
 	}
 	shadow.window = s.replayWindow
-	s.persist.setShadow(shadow, s.digestEvery)
+	s.persist.setShadow(shadow)
 	return nil
 }
 

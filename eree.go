@@ -24,17 +24,19 @@
 //	data, err := eree.Generate(eree.TestDataConfig(), 42)
 //	if err != nil { ... }
 //	pub := eree.NewPublisher(data)
-//	rel, err := pub.ReleaseMarginal(eree.Request{
+//	rel, err := pub.ReleaseMarginal(nil, eree.Request{
 //		Attrs:     []string{eree.AttrPlace, eree.AttrIndustry, eree.AttrOwnership},
 //		Mechanism: eree.MechSmoothGamma,
 //		Alpha:     0.1,
 //		Eps:       2,
-//	}, eree.NewStream(7))
+//	}, eree.NewStream(7), nil)
 //
 // rel.Noisy then holds one provably private count per cell of the
 // place × industry × ownership marginal, and rel.Loss records the privacy
 // loss of the whole release (including the d·ε surcharge when worker
-// attributes make the release fall under weak ER-EE privacy).
+// attributes make the release fall under weak ER-EE privacy). The first
+// argument is the Accountant to charge (nil releases unaccounted) and
+// the last a SpendTag for its journal (nil charges untagged).
 //
 // The real LODES inputs are confidential; Generate produces a synthetic
 // snapshot reproducing the structural properties the paper's evaluation
@@ -194,12 +196,15 @@ func WorkerAttrs() []string { return lodes.WorkerAttrs() }
 // from a sharded copy-on-write cache whose hit path takes no lock, so
 // repeated releases of the same query (different mechanisms, parameters
 // or trials) pay only for noise and concurrent serving throughput
-// scales with GOMAXPROCS. Beyond ReleaseMarginal and ReleaseSingleCell,
-// a Publisher offers:
+// scales with GOMAXPROCS. Each release kind has one entry point, which
+// takes the Accountant to charge (nil releases unaccounted — one
+// publisher can front many tenants, each with their own Accountant) and
+// a SpendTag for the Accountant's journal (nil charges untagged). Beyond
+// ReleaseMarginal and ReleaseSingleCell, a Publisher offers:
 //
 //   - ReleaseBatch: answer many requests at once — missing marginals are
 //     computed in a single pass over the data, noise is drawn in
-//     parallel, and an attached Accountant is charged atomically (an
+//     parallel, and the Accountant is charged atomically (an
 //     over-budget batch spends nothing);
 //   - Advance: absorb a quarterly Delta without stalling serving. The
 //     successor snapshot is built aside (the columnar index maintained
@@ -208,14 +213,14 @@ func WorkerAttrs() []string { return lodes.WorkerAttrs() }
 //     selectively invalidated) and installed atomically; releases in
 //     flight stay pinned to the snapshot they started on, and
 //     Release.Epoch (and Publisher.Epoch) report which epoch served
-//     them. An attached Accountant's ledger advances too
-//     (Accountant.SpendByEpoch) — privacy budget composes sequentially
-//     across epochs, an update never refreshes it;
+//     them. Advance moves no Accountant: call Accountant.AdvanceEpoch
+//     on each one you charge, so its ledger (Accountant.SpendByEpoch)
+//     attributes later charges to the new epoch — privacy budget
+//     composes sequentially across epochs, an update never refreshes it;
 //   - PrefetchMarginals: warm the cache for a set of queries with one
 //     table scan;
-//   - MarginalCacheStats, CacheStatsByEpoch, SetMarginalCacheEnabled
-//     and InvalidateMarginalCache: observe and control the cache,
-//     per epoch.
+//   - MarginalCacheStats and CacheStatsByEpoch: observe the cache, per
+//     epoch.
 //
 // The cache holds one truth per attribute set, in canonical (schema)
 // attribute order. Release.Truth (and the result of Publisher.Marginal)
@@ -236,10 +241,9 @@ type (
 // CacheStats reports one epoch's marginal-cache effectiveness: a hit is
 // a release that skipped the full-table scan, a patch a cached truth
 // carried across an Advance by applying the delta in place, an eviction
-// a cached truth dropped at an Advance (or by an explicit
-// invalidation). Patches and evictions count canonical truths, one per
-// attribute set. Counters are per-epoch; see Publisher.CacheStatsByEpoch
-// for the full history.
+// a cached truth dropped at an Advance. Patches and evictions count
+// canonical truths, one per attribute set. Counters are per-epoch; see
+// Publisher.CacheStatsByEpoch for the full history.
 type CacheStats = core.CacheStats
 
 // EpochSpend is one epoch's entry in an Accountant's spend-by-epoch
@@ -288,6 +292,11 @@ func Satisfies(d Definition, r Requirement) Satisfaction { return privacy.Satisf
 
 // Accountant tracks cumulative privacy loss under sequential composition.
 type Accountant = privacy.Accountant
+
+// SpendTag is a charge's durable identity in an Accountant's
+// write-ahead journal: the request's sequence number and body digest,
+// plus the epoch the release pinned (the Publisher stamps it).
+type SpendTag = privacy.SpendTag
 
 // NewAccountant creates an accountant for the given definition, α, and
 // total (ε, δ) budget.

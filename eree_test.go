@@ -14,12 +14,12 @@ func TestPublicQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := NewPublisher(data)
-	rel, err := pub.ReleaseMarginal(Request{
+	rel, err := pub.ReleaseMarginal(nil, Request{
 		Attrs:     WorkplaceAttrs(),
 		Mechanism: MechSmoothGamma,
 		Alpha:     0.1,
 		Eps:       2,
-	}, NewStream(7))
+	}, NewStream(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func TestPublicAccountedRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := NewPublisher(data).WithAccountant(acct)
+	pub := NewPublisher(data)
 	req := Request{Attrs: WorkplaceAttrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
-	if _, err := pub.ReleaseMarginal(req, NewStream(1)); err != nil {
+	if _, err := pub.ReleaseMarginal(acct, req, NewStream(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pub.ReleaseMarginal(req, NewStream(2)); err == nil {
+	if _, err := pub.ReleaseMarginal(acct, req, NewStream(2), nil); err == nil {
 		t.Error("second release should exhaust the eps=2 budget")
 	}
 }
@@ -255,10 +255,10 @@ func TestPublicSingleCellAndDataset(t *testing.T) {
 	if pub.Dataset() != data {
 		t.Error("Dataset accessor wrong")
 	}
-	noisy, truth, loss, err := pub.ReleaseSingleCell(Request{
+	noisy, truth, loss, _, err := pub.ReleaseSingleCell(nil, Request{
 		Attrs:     []string{AttrPlace, AttrIndustry, AttrOwnership},
 		Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2,
-	}, []string{"place-0003", "44-Retail", "Private"}, NewStream(3))
+	}, []string{"place-0003", "44-Retail", "Private"}, NewStream(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPublicBatchAndCache(t *testing.T) {
 		{Attrs: WorkplaceAttrs(), Mechanism: MechLogLaplace, Alpha: 0.1, Eps: 4},
 		{Attrs: WorkplaceAttrs(), Mechanism: MechSmoothLaplace, Alpha: 0.1, Eps: 2, Delta: 0.05},
 	}
-	rels, err := pub.ReleaseBatch(reqs, NewStream(9))
+	rels, err := pub.ReleaseBatch(nil, reqs, NewStream(9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,22 +345,25 @@ func TestPublicVersionedDatasetFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := NewPublisher(data).WithAccountant(acct)
+	pub := NewPublisher(data)
 	req := Request{Attrs: WorkplaceAttrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
-	rel0, err := pub.ReleaseMarginal(req, NewStream(7))
+	rel0, err := pub.ReleaseMarginal(acct, req, NewStream(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel0.Epoch != 0 {
 		t.Errorf("pre-advance release epoch = %d", rel0.Epoch)
 	}
+	// The publisher moves no accountant: advance the ledger alongside,
+	// as a serving layer does for every tenant it charges.
 	if err := pub.Advance(dl); err != nil {
 		t.Fatal(err)
 	}
+	acct.AdvanceEpoch()
 	if pub.Epoch() != 1 {
 		t.Fatalf("Epoch = %d after one advance", pub.Epoch())
 	}
-	rel1, err := pub.ReleaseMarginal(req, NewStream(7))
+	rel1, err := pub.ReleaseMarginal(acct, req, NewStream(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ func Example() {
 		log.Fatal(err)
 	}
 	pub := eree.NewPublisher(data)
-	rel, err := pub.ReleaseMarginal(eree.Request{
+	rel, err := pub.ReleaseMarginal(nil, eree.Request{
 		Attrs:     eree.WorkplaceAttrs(),
 		Mechanism: eree.MechSmoothGamma,
 		Alpha:     0.1,
 		Eps:       2,
-	}, eree.NewStream(7))
+	}, eree.NewStream(7), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,13 +37,13 @@ func ExamplePublisher_weakPrivacy() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rel, err := eree.NewPublisher(data).ReleaseMarginal(eree.Request{
+	rel, err := eree.NewPublisher(data).ReleaseMarginal(nil, eree.Request{
 		Attrs:     []string{eree.AttrPlace, eree.AttrSex},
 		Mechanism: eree.MechSmoothLaplace,
 		Alpha:     0.1,
 		Eps:       1.5,
 		Delta:     0.05,
-	}, eree.NewStream(3))
+	}, eree.NewStream(3), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

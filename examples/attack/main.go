@@ -104,12 +104,12 @@ func main() {
 
 	// --- The same queries under (alpha,eps)-ER-EE privacy resist both ---
 	pub := eree.NewPublisher(data)
-	rel, err := pub.ReleaseMarginal(eree.Request{
+	rel, err := pub.ReleaseMarginal(nil, eree.Request{
 		Attrs:     []string{eree.AttrPlace, eree.AttrIndustry, eree.AttrOwnership, eree.AttrSex},
 		Mechanism: eree.MechSmoothGamma,
 		Alpha:     0.1,
 		Eps:       2,
-	}, eree.NewStream(3))
+	}, eree.NewStream(3), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

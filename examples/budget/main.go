@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pub := eree.NewPublisher(data).WithAccountant(acct)
+	pub := eree.NewPublisher(data)
 
 	fmt.Println("\nexecuting plan:")
 	for i, r := range plan.Releases {
@@ -77,13 +77,13 @@ func main() {
 		if r.WorkerDomainSize > 1 {
 			attrs = append(attrs, eree.AttrSex, eree.AttrEducation)
 		}
-		rel, err := pub.ReleaseMarginal(eree.Request{
+		rel, err := pub.ReleaseMarginal(acct, eree.Request{
 			Attrs:     attrs,
 			Mechanism: eree.MechSmoothLaplace,
 			Alpha:     alpha,
 			Eps:       r.CellEps,
 			Delta:     r.CellDelta,
-		}, eree.NewStream(int64(100+i)))
+		}, eree.NewStream(int64(100+i)), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,13 +96,13 @@ func main() {
 	fmt.Printf("\nbudget remaining: eps=%.6f delta=%.6f\n", remEps, remDelta)
 
 	// One more (mechanism-valid) release must be refused by the accountant.
-	_, err = pub.ReleaseMarginal(eree.Request{
+	_, err = pub.ReleaseMarginal(acct, eree.Request{
 		Attrs:     eree.WorkplaceAttrs(),
 		Mechanism: eree.MechSmoothLaplace,
 		Alpha:     alpha,
 		Eps:       2,
 		Delta:     0.05,
-	}, eree.NewStream(999))
+	}, eree.NewStream(999), nil)
 	if err != nil {
 		fmt.Printf("extra unplanned release correctly refused: %v\n", err)
 	} else {

@@ -59,7 +59,7 @@ func main() {
 		{Attrs: attrs, Mechanism: eree.MechTruncatedLaplace, Eps: 2, Theta: 100},
 	}
 	for i, req := range requests {
-		rel, err := pub.ReleaseMarginal(req, eree.NewStream(int64(10+i)))
+		rel, err := pub.ReleaseMarginal(nil, req, eree.NewStream(int64(10+i)), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,12 +28,12 @@ func main() {
 	// establishment's size down to better than a +-10%% window; eps=2 is
 	// the paper's baseline privacy-loss parameter.
 	pub := eree.NewPublisher(data)
-	rel, err := pub.ReleaseMarginal(eree.Request{
+	rel, err := pub.ReleaseMarginal(nil, eree.Request{
 		Attrs:     eree.WorkplaceAttrs(),
 		Mechanism: eree.MechSmoothGamma,
 		Alpha:     0.1,
 		Eps:       2,
-	}, eree.NewStream(7))
+	}, eree.NewStream(7), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 	fmt.Println("Area Comparison: places ranked by job count, eps=1, alpha=0.1")
 	fmt.Printf("%-40s %10s\n", "mechanism", "Spearman vs SDL ranking")
 	for i, req := range mechs {
-		rel, err := pub.ReleaseMarginal(req, eree.NewStream(int64(10+i)))
+		rel, err := pub.ReleaseMarginal(nil, req, eree.NewStream(int64(10+i)), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

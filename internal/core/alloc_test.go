@@ -34,12 +34,12 @@ func TestReleaseBatchWarmCacheAllocs(t *testing.T) {
 			Request{Attrs: attrs, Mechanism: MechSmoothLaplace, Alpha: 0.1, Eps: eps, Delta: 0.05},
 		)
 	}
-	if _, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(1)); err != nil {
+	if _, err := p.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(1), nil); err != nil {
 		t.Fatal(err) // warm the marginal cache
 	}
 	bound := float64(releaseBatchPerRequestAllocs * len(reqs))
 	allocs := testing.AllocsPerRun(20, func() {
-		rels, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(2))
+		rels, err := p.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(2), nil)
 		if err != nil || len(rels) != len(reqs) {
 			t.Fatal("bad batch")
 		}

@@ -12,38 +12,25 @@ import (
 
 // ReleaseBatch answers many release requests as one batch: the missing
 // marginals are computed in a single sharded pass over the table, the
-// per-request noise is drawn in parallel, and the accountant (if any) is
+// per-request noise is drawn in parallel, and the accountant a is
 // charged atomically — either the whole batch fits in the remaining
-// budget or nothing is spent.
+// budget or nothing is spent. A batch whose summed loss exceeds the
+// remaining budget is rejected before any scan or noise is paid for,
+// with ErrBudgetExhausted in the error chain. A nil accountant releases
+// unaccounted. The whole batch is one charge, so it journals as one
+// spend record carrying tag (stamped with the pinned epoch; see
+// ReleaseMarginal).
 //
 // Determinism: request i draws its noise from s.SplitIndex("batch", i),
 // so the result is bit-identical to calling
 //
-//	ReleaseMarginal(reqs[i], s.SplitIndex("batch", i))
+//	ReleaseMarginal(nil, reqs[i], s.SplitIndex("batch", i), nil)
 //
 // for each request in order, regardless of scheduling (both paths fold
 // the pinned epoch into the derivation — see epochStream — so the
 // equivalence is per-epoch, and the batch pins exactly one). Releases
 // are returned positionally aligned with the requests.
-func (p *Publisher) ReleaseBatch(reqs []Request, s *dist.Stream) ([]*Release, error) {
-	return p.ReleaseBatchFor(p.accountant, reqs, s)
-}
-
-// ReleaseBatchFor is ReleaseBatch charging an explicit accountant
-// instead of the publisher's attached one (see ReleaseMarginalFor) —
-// including the fail-fast admission check: a batch whose summed loss
-// exceeds the accountant's remaining budget is rejected before any scan
-// or noise is paid for, with ErrBudgetExhausted in the error chain. A
-// nil accountant releases unaccounted.
-func (p *Publisher) ReleaseBatchFor(a *privacy.Accountant, reqs []Request, s *dist.Stream) ([]*Release, error) {
-	return p.ReleaseBatchTagged(a, reqs, s, nil)
-}
-
-// ReleaseBatchTagged is ReleaseBatchFor carrying a spend tag for the
-// accountant's write-ahead journal (see ReleaseMarginalTagged). The
-// whole batch is one atomic charge, so it journals as one spend record
-// tagged with the batch request's identity and the pinned epoch.
-func (p *Publisher) ReleaseBatchTagged(a *privacy.Accountant, reqs []Request, s *dist.Stream, tag *privacy.SpendTag) ([]*Release, error) {
+func (p *Publisher) ReleaseBatch(a *privacy.Accountant, reqs []Request, s *dist.Stream, tag *privacy.SpendTag) ([]*Release, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestMarginalCacheHitSkipsRecomputation(t *testing.T) {
 	p := testPublisher(t, 21)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
 
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(1)); err != nil {
+	if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	stats := p.MarginalCacheStats()
@@ -28,7 +29,7 @@ func TestMarginalCacheHitSkipsRecomputation(t *testing.T) {
 	}
 
 	// Second full release of the same marginal: hit, no new miss.
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(2)); err != nil {
+	if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Single-cell release of the same marginal: also served from cache.
@@ -43,7 +44,7 @@ func TestMarginalCacheHitSkipsRecomputation(t *testing.T) {
 			break
 		}
 	}
-	if _, _, _, err := p.ReleaseSingleCell(req, cellValues, dist.NewStreamFromSeed(3)); err != nil {
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, req, cellValues, dist.NewStreamFromSeed(3), nil); err != nil {
 		t.Fatal(err)
 	}
 	stats = p.MarginalCacheStats()
@@ -93,33 +94,40 @@ func TestMarginalCacheCanonicalization(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledStillCorrect: with the cache off, releases recompute
-// but remain correct and deterministic.
+// TestCacheDisabledStillCorrect: a release from a cold publisher, which
+// scans for its truth, is bit-identical to the same release from a
+// publisher whose cache already holds that truth.
 func TestCacheDisabledStillCorrect(t *testing.T) {
-	p := testPublisher(t, 23)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechLogLaplace, Alpha: 0.1, Eps: 4}
-	warm, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(9))
+	warmPub := testPublisher(t, 23)
+	if _, err := warmPub.Marginal(workload1Attrs()); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := warmPub.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetMarginalCacheEnabled(false)
-	cold, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(9))
+	coldPub := testPublisher(t, 23)
+	cold, err := coldPub.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(9), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(warm.Noisy) != len(cold.Noisy) {
+		t.Fatalf("%d cells cached, %d cold", len(warm.Noisy), len(cold.Noisy))
 	}
 	for i := range warm.Noisy {
-		if warm.Noisy[i] != cold.Noisy[i] {
-			t.Fatalf("cell %d: cached %v != uncached %v", i, warm.Noisy[i], cold.Noisy[i])
+		if math.Float64bits(warm.Noisy[i]) != math.Float64bits(cold.Noisy[i]) {
+			t.Fatalf("cell %d: cached %v != cold %v", i, warm.Noisy[i], cold.Noisy[i])
 		}
 	}
-	if stats := p.MarginalCacheStats(); stats.Misses != 1 {
-		t.Errorf("disabled cache recorded misses: %+v", stats)
+	if w, c := warmPub.MarginalCacheStats(), coldPub.MarginalCacheStats(); w.Hits != 1 || w.Misses != 1 || c.Hits != 0 || c.Misses != 1 {
+		t.Errorf("cache stats: warm %+v, cold %+v; want the warm release a hit and the cold one a miss", w, c)
 	}
 }
 
 // TestReleaseBatchMatchesSequential is the batch pipeline's determinism
-// contract: ReleaseBatch(reqs, s)[i] is bit-identical to
-// ReleaseMarginal(reqs[i], s.SplitIndex("batch", i)).
+// contract: ReleaseBatch(nil, reqs, s, nil)[i] is bit-identical to
+// ReleaseMarginal(nil, reqs[i], s.SplitIndex("batch", i), nil).
 func TestReleaseBatchMatchesSequential(t *testing.T) {
 	reqs := []Request{
 		{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2},
@@ -131,7 +139,7 @@ func TestReleaseBatchMatchesSequential(t *testing.T) {
 	pBatch := testPublisher(t, 24)
 	pSeq := testPublisher(t, 24)
 
-	batch, err := pBatch.ReleaseBatch(reqs, dist.NewStreamFromSeed(6))
+	batch, err := pBatch.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +148,7 @@ func TestReleaseBatchMatchesSequential(t *testing.T) {
 	}
 	parent := dist.NewStreamFromSeed(6)
 	for i, req := range reqs {
-		want, err := pSeq.ReleaseMarginal(req, parent.SplitIndex("batch", i))
+		want, err := pSeq.ReleaseMarginal(nil, req, parent.SplitIndex("batch", i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,12 +175,11 @@ func TestReleaseBatchAccountantAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.WithAccountant(acct)
 	reqs := []Request{
 		{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2},
 		{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2},
 	}
-	if _, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(7)); err == nil {
+	if _, err := p.ReleaseBatch(acct, reqs, dist.NewStreamFromSeed(7), nil); err == nil {
 		t.Fatal("over-budget batch succeeded")
 	}
 	if got := acct.Spent().Eps; got != 0 {
@@ -180,7 +187,7 @@ func TestReleaseBatchAccountantAtomic(t *testing.T) {
 	}
 	// A fitting batch charges the exact sum.
 	fit := []Request{{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}}
-	if _, err := p.ReleaseBatch(fit, dist.NewStreamFromSeed(8)); err != nil {
+	if _, err := p.ReleaseBatch(acct, fit, dist.NewStreamFromSeed(8), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := acct.Spent().Eps; got != 2 {
@@ -198,7 +205,6 @@ func TestConcurrentReleasesOneAccountant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.WithAccountant(acct)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 1}
 
 	var wg sync.WaitGroup
@@ -209,11 +215,11 @@ func TestConcurrentReleasesOneAccountant(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
 				if g%2 == 0 {
-					if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(int64(g*100+i))); err == nil {
+					if _, err := p.ReleaseMarginal(acct, req, dist.NewStreamFromSeed(int64(g*100+i)), nil); err == nil {
 						succeeded[g]++
 					}
 				} else {
-					if _, err := p.ReleaseBatch([]Request{req}, dist.NewStreamFromSeed(int64(g*100+i))); err == nil {
+					if _, err := p.ReleaseBatch(acct, []Request{req}, dist.NewStreamFromSeed(int64(g*100+i)), nil); err == nil {
 						succeeded[g]++
 					}
 				}
@@ -267,7 +273,7 @@ func TestPrefetchMarginalsSingleScan(t *testing.T) {
 // TestReleaseBatchEmpty: an empty batch is a no-op.
 func TestReleaseBatchEmpty(t *testing.T) {
 	p := testPublisher(t, 28)
-	rels, err := p.ReleaseBatch(nil, dist.NewStreamFromSeed(1))
+	rels, err := p.ReleaseBatch(nil, nil, dist.NewStreamFromSeed(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +290,7 @@ func TestReleaseBatchFirstErrorIndexed(t *testing.T) {
 		{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2},
 		{Attrs: []string{"no-such-attr"}, Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2},
 	}
-	_, err := p.ReleaseBatch(reqs, dist.NewStreamFromSeed(1))
+	_, err := p.ReleaseBatch(nil, reqs, dist.NewStreamFromSeed(1), nil)
 	if err == nil {
 		t.Fatal("batch with invalid request succeeded")
 	}

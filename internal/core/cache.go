@@ -52,10 +52,9 @@ import (
 // truths only. Patches counts the truths the Advance that created the
 // epoch carried by *patching* (incremental view maintenance: the
 // delta's contribution applied in place, no rescan). Evictions counts
-// truths dropped from the epoch's cache: at the Advance that created the
-// epoch (entries the maintenance path could not patch), plus any
-// explicit InvalidateMarginalCache or cache-disable sweeps during the
-// epoch. Refused requests — invalid parameters, unknown attributes or
+// the truths that Advance dropped instead (entries the maintenance path
+// could not patch); an epoch's cache is append-only, so nothing is
+// evicted during the epoch. Refused requests — invalid parameters, unknown attributes or
 // cells, or an exhausted budget — never touch the cache or its counters.
 //
 // Counters are per-epoch: each Advance starts a fresh set (see
@@ -113,18 +112,12 @@ func newMarginalEntry(q *table.Query, m *table.Marginal) *marginalEntry {
 const marginalCacheShards = 16
 
 // marginalCache is the sharded, singleflighted store behind the
-// publisher's truth lookups.
+// publisher's truth lookups. It is append-only: an entry, once
+// committed, is served for the rest of the epoch. Every dataset change
+// goes through Advance, which builds a new snapshot with its own cache,
+// so a truth never goes stale in place.
 type marginalCache struct {
-	off   atomic.Bool
-	stats *cacheCounters
-	// gen is the invalidation generation: clear() bumps it before
-	// dropping the committed maps (and re-enabling the cache bumps it
-	// again), and a finished scan commits only if the generation it
-	// started under is still current and the cache is on. Without this,
-	// a scan in flight across an InvalidateMarginalCache or
-	// SetMarginalCacheEnabled call would commit a pre-invalidation truth
-	// into the post-invalidation cache and serve it forever.
-	gen    atomic.Uint64
+	stats  *cacheCounters
 	shards [marginalCacheShards]cacheShard
 }
 
@@ -141,12 +134,8 @@ type cacheShard struct {
 }
 
 // inflightScan is one leader's pending compute; followers block on done.
-// gen is the invalidation generation the scan was registered under: a
-// would-be follower whose current generation differs must not consume
-// this result (the scan may have read pre-invalidation data).
 type inflightScan struct {
 	done chan struct{}
-	gen  uint64
 	e    *marginalEntry
 	err  error
 }
@@ -204,56 +193,35 @@ func (sh *cacheShard) commitLocked(key string, e *marginalEntry) *marginalEntry 
 // key itself stays retryable.
 var errScanAborted = errors.New("core: marginal scan aborted")
 
-// registerFlight claims the key's singleflight slot under the shard
-// lock and snapshots the invalidation generation the scan starts under.
-// The caller must finishFlight exactly once afterwards.
-func (c *marginalCache) registerFlight(sh *cacheShard, key string) (*inflightScan, uint64) {
-	fl := &inflightScan{done: make(chan struct{}), gen: c.gen.Load()}
+// registerFlight claims the key's singleflight slot; the caller holds
+// sh.mu and must finishFlight exactly once afterwards.
+func (sh *cacheShard) registerFlight(key string) *inflightScan {
+	fl := &inflightScan{done: make(chan struct{})}
 	sh.inflight[key] = fl
-	return fl, fl.gen
+	return fl
 }
 
 // finishFlight completes a registered flight: commits its result (if
-// the scan succeeded and no invalidation intervened), counts the scan,
-// unregisters the flight, and releases followers. It reports whether
-// the flight produced a usable entry. Call it via defer so a panicking
-// scan cannot leave followers blocked on a never-closed channel — a
-// flight finished with neither a result nor an error marks itself
-// aborted instead.
-func (c *marginalCache) finishFlight(key string, fl *inflightScan, gen uint64) (fresh bool) {
+// the scan succeeded), counts the scan, unregisters the flight, and
+// releases followers. It reports whether the flight produced an entry.
+// Call it via defer so a panicking scan cannot leave followers blocked
+// on a never-closed channel — a flight finished with neither a result
+// nor an error marks itself aborted instead.
+func (c *marginalCache) finishFlight(key string, fl *inflightScan) (fresh bool) {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
 	if fl.err == nil && fl.e == nil {
 		fl.err = errScanAborted
 	}
 	if fl.err == nil {
-		if c.commitAllowed(gen) {
-			fl.e = sh.commitLocked(key, fl.e)
-		}
-		// Misses count computed marginals, committed or not.
+		fl.e = sh.commitLocked(key, fl.e)
 		c.stats.misses.Add(1)
 		fresh = true
 	}
-	// Unregister only if this flight still owns the slot — a flight
-	// superseded after an invalidation must not tear down its
-	// replacement.
-	if sh.inflight[key] == fl {
-		delete(sh.inflight, key)
-	}
+	delete(sh.inflight, key)
 	sh.mu.Unlock()
 	close(fl.done)
 	return fresh
-}
-
-// commitAllowed reports whether a result obtained under the given
-// generation may enter the committed maps: the generation must still be
-// current and the cache must be on. The off check closes the disable
-// race (a scan that started before SetMarginalCacheEnabled(false) must
-// not commit into the cleared cache), and the generation bump on
-// re-enable closes its tail (a straggler from the disabled window must
-// not commit after the cache comes back on).
-func (c *marginalCache) commitAllowed(gen uint64) bool {
-	return c.gen.Load() == gen && !c.off.Load()
 }
 
 // getOrCompute returns the entry for the key, running compute at most
@@ -272,46 +240,21 @@ func (c *marginalCache) getOrCompute(key string, compute func() (*marginalEntry,
 		sh.mu.Unlock()
 		return e, false, nil
 	}
-	if fl, ok := sh.inflight[key]; ok && fl.gen == c.gen.Load() {
+	if fl, ok := sh.inflight[key]; ok {
 		// Another goroutine is already scanning for this key: follow it.
 		sh.mu.Unlock()
 		<-fl.done
 		return fl.e, false, fl.err
 	}
-	// Either no flight, or a flight that predates an invalidation —
-	// whose result reflects data this request (which began after the
-	// invalidation) must not see. Register (or replace: registerFlight
-	// overwrites the slot, and a superseded flight only unregisters
-	// itself if it still owns it) and lead the scan for the current
-	// generation, so concurrent post-invalidation requesters follow this
-	// one instead of stampeding.
-	fl, gen := c.registerFlight(sh, key)
+	fl := sh.registerFlight(key)
 	sh.mu.Unlock()
 
 	defer func() {
-		fresh = c.finishFlight(key, fl, gen)
+		fresh = c.finishFlight(key, fl)
 		e, err = fl.e, fl.err
 	}()
 	fl.e, fl.err = compute()
 	return
-}
-
-// clear drops every committed entry, counting the dropped entries as
-// evictions. The generation bump comes first so any scan still in
-// flight sees it at commit time and leaves its pre-invalidation truth
-// out of the fresh maps.
-func (c *marginalCache) clear() {
-	c.gen.Add(1)
-	var dropped int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		dropped += int64(len(*sh.entries.Load()))
-		empty := make(map[string]*marginalEntry)
-		sh.entries.Store(&empty)
-		sh.mu.Unlock()
-	}
-	c.stats.evictions.Add(dropped)
 }
 
 // committed returns every committed entry across the shards — the
@@ -386,10 +329,8 @@ type truthRef struct {
 // schema cannot compile).
 func (sn *epochSnapshot) resolve(attrs []string) (truthRef, error) {
 	key := exactKey(attrs)
-	if !sn.cache.off.Load() {
-		if e, ok := sn.cache.lookup(key); ok {
-			return truthRef{q: e.q, canon: e.q, key: key, hit: e}, nil
-		}
+	if e, ok := sn.cache.lookup(key); ok {
+		return truthRef{q: e.q, canon: e.q, key: key, hit: e}, nil
 	}
 	canon, err := sn.canonicalQuery(attrs)
 	if err != nil {
@@ -412,12 +353,8 @@ func (sn *epochSnapshot) resolve(attrs []string) (truthRef, error) {
 // table scan — the per-key singleflight makes every other requester a
 // follower of the first (the scan itself still parallelizes internally
 // via the table index). Requests for cached sets never touch a lock.
-// With the cache off every call scans.
 func (sn *epochSnapshot) canonical(r truthRef) (*marginalEntry, error) {
 	c := sn.cache
-	if c.off.Load() {
-		return sn.computeEntry(r.canon), nil
-	}
 	if r.hit != nil {
 		c.stats.hits.Add(1)
 		return r.hit, nil
@@ -572,13 +509,9 @@ func (p *Publisher) PrefetchMarginals(attrSets [][]string) error {
 // together).
 func (sn *epochSnapshot) prefetch(refs []truthRef) {
 	c := sn.cache
-	if c.off.Load() {
-		return
-	}
 	var missing []*table.Query
 	var flights []*inflightScan
 	var keys []string
-	var gens []uint64
 	seen := make(map[string]bool)
 	// Every registered flight is finished exactly once — on success, on
 	// error, and on a panic inside the scan (followers of an unfinished
@@ -586,7 +519,7 @@ func (sn *epochSnapshot) prefetch(refs []truthRef) {
 	finished := 0
 	defer func() {
 		for i := finished; i < len(flights); i++ {
-			c.finishFlight(keys[i], flights[i], gens[i])
+			c.finishFlight(keys[i], flights[i])
 		}
 	}()
 	for _, r := range refs {
@@ -601,70 +534,26 @@ func (sn *epochSnapshot) prefetch(refs []truthRef) {
 			sh.mu.Unlock()
 			continue
 		}
-		if fl, ok := sh.inflight[key]; ok && fl.gen == c.gen.Load() {
+		if _, ok := sh.inflight[key]; ok {
 			// Another scan (point miss or concurrent prefetch) already owns
-			// this key; it will commit the identical truth. (A flight from
-			// before an invalidation will not commit; registerFlight below
-			// replaces it.)
+			// this key; it will commit the identical truth.
 			sh.mu.Unlock()
 			continue
 		}
-		fl, gen := c.registerFlight(sh, key)
+		fl := sh.registerFlight(key)
 		sh.mu.Unlock()
 		missing = append(missing, r.canon)
 		flights = append(flights, fl)
 		keys = append(keys, key)
-		gens = append(gens, gen)
 	}
 	if len(missing) == 0 {
 		return
 	}
 	for i, m := range table.ComputeAll(sn.data.WorkerFull, missing) {
 		flights[i].e = newMarginalEntry(missing[i], m)
-		c.finishFlight(keys[i], flights[i], gens[i])
+		c.finishFlight(keys[i], flights[i])
 		finished++
 	}
-}
-
-// SetMarginalCacheEnabled turns the marginal cache on or off (it is on
-// by default); the setting survives epoch advances. Disabling also
-// drops every cached entry, so a subsequent enable starts cold; the
-// generation bump on the off→on transition keeps any straggler from
-// the disabled window (a commit racing the disable) from warming it
-// behind the caller's back. Enabling an already-enabled cache is a
-// no-op, as it always was.
-func (p *Publisher) SetMarginalCacheEnabled(enabled bool) {
-	// Serialized with Advance so the toggle lands on a stable current
-	// snapshot (Advance copies the off flag into the successor's cache).
-	p.advanceMu.Lock()
-	defer p.advanceMu.Unlock()
-	c := p.snap.Load().cache
-	if !enabled {
-		c.off.Store(true)
-		c.clear()
-		return
-	}
-	if !c.off.Load() {
-		return
-	}
-	// Bump before flipping on: a straggler commit must observe either
-	// the off flag or a newer generation, never the enabled cache at its
-	// own generation.
-	c.gen.Add(1)
-	c.off.Store(false)
-}
-
-// InvalidateMarginalCache drops every cached marginal of the current
-// epoch unconditionally (the blunt instrument; Advance does this
-// selectively). Statistics persist — dropped entries count as the
-// epoch's evictions. Serialized with Advance so an invalidation cannot
-// race the carry-over sweep: without the lock, entries enumerated by
-// maintainEntries before the clear could be seeded into the successor
-// epoch's cache, silently undoing the invalidation.
-func (p *Publisher) InvalidateMarginalCache() {
-	p.advanceMu.Lock()
-	defer p.advanceMu.Unlock()
-	p.snap.Load().cache.clear()
 }
 
 // MarginalCacheStats returns the current epoch's cache counters.

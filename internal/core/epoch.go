@@ -50,9 +50,10 @@ type epochSnapshot struct {
 // structurally: each epoch owns its cache, so a truth can never leak
 // across epochs.
 //
-// An attached accountant's ledger advances too: subsequent charges are
-// attributed to the new epoch (sequential composition across epochs —
-// an update never refreshes the budget).
+// Advance moves no accountant's ledger: the caller advances each
+// accountant it charges (privacy.Accountant.AdvanceEpoch, or the
+// journaled privacy.Registry.AdvanceEpoch), so later charges are
+// attributed to the new epoch. An update never refreshes the budget.
 func (p *Publisher) Advance(delta *lodes.Delta) error {
 	p.advanceMu.Lock()
 	defer p.advanceMu.Unlock()
@@ -70,20 +71,12 @@ func (p *Publisher) Advance(delta *lodes.Delta) error {
 	next.WorkerFull.AdoptIndex(nextIx)
 
 	cache := newMarginalCache(next.Epoch)
-	if old.cache.off.Load() {
-		cache.off.Store(true)
-		p.views = make(map[string]*maintainedView)
-	} else {
-		carried, patched, evicted := p.maintainEntries(old, baseIx, nextIx, touched, kept, next.Epoch)
-		cache.seed(carried)
-		cache.stats.patches.Store(patched)
-		cache.stats.evictions.Store(evicted)
-	}
+	carried, patched, evicted := p.maintainEntries(old, baseIx, nextIx, touched, kept, next.Epoch)
+	cache.seed(carried)
+	cache.stats.patches.Store(patched)
+	cache.stats.evictions.Store(evicted)
 
 	sn := &epochSnapshot{epoch: next.Epoch, data: next, cache: cache}
-	if p.accountant != nil {
-		p.accountant.AdvanceEpoch()
-	}
 	p.historyMu.Lock()
 	p.history = append(p.history, cache.stats)
 	p.historyMu.Unlock()

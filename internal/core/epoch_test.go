@@ -54,7 +54,7 @@ func TestAdvanceServesNewEpoch(t *testing.T) {
 	d := smallDataset(t, 51)
 	p := NewPublisher(d)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
-	rel0, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(1))
+	rel0, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAdvanceServesNewEpoch(t *testing.T) {
 	if p.Epoch() != 1 {
 		t.Fatalf("Epoch after advance = %d, want 1", p.Epoch())
 	}
-	rel1, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(1))
+	rel1, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,17 +469,19 @@ func TestAdvanceCarriedTruthBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAdvanceAccountantLedger: the attached accountant's ledger follows
-// the publisher's epochs, and the budget composes across them.
+// TestAdvanceAccountantLedger: an accountant advanced alongside the
+// publisher, as the serving layer advances every tenant, attributes
+// each charge to the epoch that served it, and the budget composes
+// across epochs.
 func TestAdvanceAccountantLedger(t *testing.T) {
 	d := smallDataset(t, 54)
 	acct, err := privacy.NewAccountant(privacy.StrongEREE, 0.1, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPublisher(d).WithAccountant(acct)
+	p := NewPublisher(d)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(1)); err != nil {
+	if _, err := p.ReleaseMarginal(acct, req, dist.NewStreamFromSeed(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	dl, err := lodes.GenerateDelta(d, lodes.DefaultDeltaConfig(), dist.NewStreamFromSeed(2))
@@ -489,8 +491,9 @@ func TestAdvanceAccountantLedger(t *testing.T) {
 	if err := p.Advance(dl); err != nil {
 		t.Fatal(err)
 	}
+	acct.AdvanceEpoch()
 	for i := 0; i < 2; i++ {
-		if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(int64(3+i))); err != nil {
+		if _, err := p.ReleaseMarginal(acct, req, dist.NewStreamFromSeed(int64(3+i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -506,68 +509,6 @@ func TestAdvanceAccountantLedger(t *testing.T) {
 	}
 	if spent := acct.Spent(); spent.Eps != 6 {
 		t.Errorf("total spent %v, want eps 6 (budget composes across epochs)", spent)
-	}
-}
-
-// TestWithAccountantAlignsLedgerEpoch: a publisher created from a
-// mid-lineage snapshot fast-forwards an attached accountant's ledger,
-// so spend attribution lines up with Release.Epoch.
-func TestWithAccountantAlignsLedgerEpoch(t *testing.T) {
-	d := smallDataset(t, 58)
-	dl, err := lodes.GenerateDelta(d, lodes.DefaultDeltaConfig(), dist.NewStreamFromSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := d.ApplyDelta(dl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct, err := privacy.NewAccountant(privacy.StrongEREE, 0.1, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPublisher(next).WithAccountant(acct)
-	rel, err := p.ReleaseMarginal(Request{
-		Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2,
-	}, dist.NewStreamFromSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Epoch != 1 {
-		t.Fatalf("release epoch = %d, want 1", rel.Epoch)
-	}
-	ledger := acct.SpendByEpoch()
-	last := ledger[len(ledger)-1]
-	if last.Epoch != 1 || last.Releases != 1 {
-		t.Fatalf("charge attributed to %+v, want epoch 1 with 1 release", last)
-	}
-}
-
-// TestAdvanceCarriesCacheOffState: a disabled cache stays disabled in
-// the successor epoch.
-func TestAdvanceCarriesCacheOffState(t *testing.T) {
-	d := smallDataset(t, 55)
-	p := NewPublisher(d)
-	p.SetMarginalCacheEnabled(false)
-	dl, err := lodes.GenerateDelta(d, lodes.DefaultDeltaConfig(), dist.NewStreamFromSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Advance(dl); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Marginal(workload1Attrs()); err != nil {
-		t.Fatal(err)
-	}
-	if stats := p.MarginalCacheStats(); stats.Hits != 0 || stats.Misses != 0 {
-		t.Fatalf("disabled cache recorded traffic after advance: %+v", stats)
-	}
-	p.SetMarginalCacheEnabled(true)
-	if _, err := p.Marginal(workload1Attrs()); err != nil {
-		t.Fatal(err)
-	}
-	if stats := p.MarginalCacheStats(); stats.Misses != 1 {
-		t.Fatalf("re-enabled cache stats %+v, want 1 miss", stats)
 	}
 }
 
@@ -653,14 +594,14 @@ func TestAdvanceSnapshotPinning(t *testing.T) {
 				}
 				seed++
 				if g%2 == 0 {
-					rel, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(seed))
+					rel, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(seed), nil)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					verify(rel)
 				} else {
-					rels, err := p.ReleaseBatch(batch, dist.NewStreamFromSeed(seed))
+					rels, err := p.ReleaseBatch(nil, batch, dist.NewStreamFromSeed(seed), nil)
 					if err != nil {
 						t.Error(err)
 						return
@@ -724,11 +665,11 @@ func TestReleaseNoiseEpochSeparation(t *testing.T) {
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
 	cellValues := []string{lodes.PlaceName(0), "44-Retail", "Private"}
 
-	rel0, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(1))
+	rel0, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell0, _, _, err := p.ReleaseSingleCell(req, cellValues, dist.NewStreamFromSeed(2))
+	cell0, _, _, _, err := p.ReleaseSingleCell(nil, req, cellValues, dist.NewStreamFromSeed(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,11 +686,11 @@ func TestReleaseNoiseEpochSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rel1, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(1))
+	rel1, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell1, _, _, err := p.ReleaseSingleCell(req, cellValues, dist.NewStreamFromSeed(2))
+	cell1, _, _, _, err := p.ReleaseSingleCell(nil, req, cellValues, dist.NewStreamFromSeed(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

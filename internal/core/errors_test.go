@@ -21,7 +21,7 @@ func TestReleaseErrorSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPublisher(d).WithAccountant(acct)
+	p := NewPublisher(d)
 	good := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
 
 	cases := []struct {
@@ -38,7 +38,7 @@ func TestReleaseErrorSentinels(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.desc, func(t *testing.T) {
-			_, err := p.ReleaseMarginal(c.req, dist.NewStreamFromSeed(1))
+			_, err := p.ReleaseMarginal(acct, c.req, dist.NewStreamFromSeed(1), nil)
 			if !errors.Is(err, c.want) {
 				t.Fatalf("ReleaseMarginal error = %v, want errors.Is %v", err, c.want)
 			}
@@ -47,7 +47,7 @@ func TestReleaseErrorSentinels(t *testing.T) {
 				t.Fatalf("failed request spent budget: remaining eps = %g, want 2", eps)
 			}
 			// The batch path classifies the same failures identically.
-			_, err = p.ReleaseBatch([]Request{c.req}, dist.NewStreamFromSeed(1))
+			_, err = p.ReleaseBatch(acct, []Request{c.req}, dist.NewStreamFromSeed(1), nil)
 			if !errors.Is(err, c.want) {
 				t.Fatalf("ReleaseBatch error = %v, want errors.Is %v", err, c.want)
 			}
@@ -56,16 +56,16 @@ func TestReleaseErrorSentinels(t *testing.T) {
 
 	// Budget exhaustion carries privacy.ErrBudgetExhausted through the
 	// core wrap, on all three release paths.
-	if _, err := p.ReleaseMarginal(good, dist.NewStreamFromSeed(2)); err != nil {
+	if _, err := p.ReleaseMarginal(acct, good, dist.NewStreamFromSeed(2), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ReleaseMarginal(good, dist.NewStreamFromSeed(3)); !errors.Is(err, privacy.ErrBudgetExhausted) {
+	if _, err := p.ReleaseMarginal(acct, good, dist.NewStreamFromSeed(3), nil); !errors.Is(err, privacy.ErrBudgetExhausted) {
 		t.Fatalf("over-budget ReleaseMarginal = %v, want ErrBudgetExhausted", err)
 	}
-	if _, err := p.ReleaseBatch([]Request{good}, dist.NewStreamFromSeed(4)); !errors.Is(err, privacy.ErrBudgetExhausted) {
+	if _, err := p.ReleaseBatch(acct, []Request{good}, dist.NewStreamFromSeed(4), nil); !errors.Is(err, privacy.ErrBudgetExhausted) {
 		t.Fatalf("over-budget ReleaseBatch = %v, want ErrBudgetExhausted", err)
 	}
-	if _, _, _, err := p.ReleaseSingleCell(good, []string{lodes.PlaceName(0), "44-Retail", "Private"}, dist.NewStreamFromSeed(5)); !errors.Is(err, privacy.ErrBudgetExhausted) {
+	if _, _, _, _, err := p.ReleaseSingleCell(acct, good, []string{lodes.PlaceName(0), "44-Retail", "Private"}, dist.NewStreamFromSeed(5), nil); !errors.Is(err, privacy.ErrBudgetExhausted) {
 		t.Fatalf("over-budget ReleaseSingleCell = %v, want ErrBudgetExhausted", err)
 	}
 }
@@ -76,20 +76,20 @@ func TestSingleCellErrorSentinels(t *testing.T) {
 	p := NewPublisher(smallDataset(t, 72))
 	good := Request{Attrs: []string{lodes.AttrPlace}, Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
 
-	if _, _, _, err := p.ReleaseSingleCell(good, []string{"not-a-place"}, dist.NewStreamFromSeed(1)); !errors.Is(err, ErrUnknownCell) {
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, good, []string{"not-a-place"}, dist.NewStreamFromSeed(1), nil); !errors.Is(err, ErrUnknownCell) {
 		t.Fatalf("unknown value error = %v, want ErrUnknownCell", err)
 	}
-	if _, _, _, err := p.ReleaseSingleCell(good, []string{lodes.PlaceName(0), "extra"}, dist.NewStreamFromSeed(1)); !errors.Is(err, ErrUnknownCell) {
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, good, []string{lodes.PlaceName(0), "extra"}, dist.NewStreamFromSeed(1), nil); !errors.Is(err, ErrUnknownCell) {
 		t.Fatalf("wrong arity error = %v, want ErrUnknownCell", err)
 	}
 	trunc := good
 	trunc.Mechanism = MechTruncatedLaplace
-	if _, _, _, err := p.ReleaseSingleCell(trunc, []string{lodes.PlaceName(0)}, dist.NewStreamFromSeed(1)); !errors.Is(err, ErrInvalidRequest) {
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, trunc, []string{lodes.PlaceName(0)}, dist.NewStreamFromSeed(1), nil); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("truncated-laplace single cell error = %v, want ErrInvalidRequest", err)
 	}
 	bad := good
 	bad.Attrs = []string{"starsign"}
-	if _, _, _, err := p.ReleaseSingleCell(bad, []string{"aries"}, dist.NewStreamFromSeed(1)); !errors.Is(err, ErrUnknownMarginal) {
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, bad, []string{"aries"}, dist.NewStreamFromSeed(1), nil); !errors.Is(err, ErrUnknownMarginal) {
 		t.Fatalf("unknown attribute error = %v, want ErrUnknownMarginal", err)
 	}
 }
@@ -105,56 +105,53 @@ func TestParseMechanismKindSentinel(t *testing.T) {
 	}
 }
 
-// TestReleaseForPerTenantAccounting: the *For variants charge the given
-// accountant, not the publisher's attached one, and a nil accountant
-// releases unaccounted — the multi-tenant serving contract.
+// TestReleaseForPerTenantAccounting: one publisher charges whichever
+// accountant each call names, and a nil accountant releases unaccounted
+// — the multi-tenant serving contract.
 func TestReleaseForPerTenantAccounting(t *testing.T) {
 	d := smallDataset(t, 73)
-	attached, _ := privacy.NewAccountant(privacy.WeakEREE, 0.1, 100, 0)
 	tenantA, _ := privacy.NewAccountant(privacy.WeakEREE, 0.1, 10, 0)
 	tenantB, _ := privacy.NewAccountant(privacy.WeakEREE, 0.1, 3, 0)
-	p := NewPublisher(d).WithAccountant(attached)
+	p := NewPublisher(d)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
 
-	if _, err := p.ReleaseMarginalFor(tenantA, req, dist.NewStreamFromSeed(1)); err != nil {
+	if _, err := p.ReleaseMarginal(tenantA, req, dist.NewStreamFromSeed(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if eps, _ := tenantA.Remaining(); eps != 8 {
 		t.Fatalf("tenant A remaining = %g, want 8", eps)
 	}
-	if eps, _ := attached.Remaining(); eps != 100 {
-		t.Fatalf("attached accountant charged by ReleaseMarginalFor: remaining = %g", eps)
+	if eps, _ := tenantB.Remaining(); eps != 3 {
+		t.Fatalf("tenant A's release charged tenant B: remaining = %g", eps)
 	}
 
 	// Batch admission control fails fast against the given accountant.
 	batch := []Request{req, req}
-	if _, err := p.ReleaseBatchFor(tenantB, batch, dist.NewStreamFromSeed(2)); !errors.Is(err, privacy.ErrBudgetExhausted) {
+	if _, err := p.ReleaseBatch(tenantB, batch, dist.NewStreamFromSeed(2), nil); !errors.Is(err, privacy.ErrBudgetExhausted) {
 		t.Fatalf("over-budget batch for tenant B = %v, want ErrBudgetExhausted", err)
 	}
 	if eps, _ := tenantB.Remaining(); eps != 3 {
 		t.Fatalf("rejected batch spent tenant B budget: remaining = %g, want 3", eps)
 	}
-	if _, err := p.ReleaseBatchFor(tenantA, batch, dist.NewStreamFromSeed(2)); err != nil {
+	if _, err := p.ReleaseBatch(tenantA, batch, dist.NewStreamFromSeed(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if eps, _ := tenantA.Remaining(); eps != 4 {
 		t.Fatalf("tenant A remaining after batch = %g, want 4", eps)
 	}
 
-	// Nil accountant: unaccounted release, attached accountant untouched.
-	if _, err := p.ReleaseMarginalFor(nil, req, dist.NewStreamFromSeed(3)); err != nil {
+	// Nil accountant: an unaccounted release charges no tenant.
+	if _, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(3), nil); err != nil {
 		t.Fatal(err)
 	}
-	if eps, _ := attached.Remaining(); eps != 100 {
-		t.Fatalf("nil-accountant release charged attached accountant: remaining = %g", eps)
-	}
-
-	// The plain methods still charge the attached accountant.
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(4)); err != nil {
+	if _, err := p.ReleaseBatch(nil, batch, dist.NewStreamFromSeed(4), nil); err != nil {
 		t.Fatal(err)
 	}
-	if eps, _ := attached.Remaining(); eps != 98 {
-		t.Fatalf("attached remaining = %g, want 98", eps)
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, req, []string{lodes.PlaceName(0), "44-Retail", "Private"}, dist.NewStreamFromSeed(5), nil); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := tenantA.Spent().Eps, tenantB.Spent().Eps; a != 6 || b != 0 {
+		t.Fatalf("unaccounted releases charged a tenant: spent A = %g, B = %g, want 6 and 0", a, b)
 	}
 }
 
@@ -201,35 +198,35 @@ func TestRefusedRequestsTouchNothing(t *testing.T) {
 		call func(attrs []string) error
 	}{
 		{"marginal over budget", privacy.ErrBudgetExhausted, func(attrs []string) error {
-			_, err := p.ReleaseMarginalFor(acct, with(over, attrs), s)
+			_, err := p.ReleaseMarginal(acct, with(over, attrs), s, nil)
 			return err
 		}},
 		{"marginal invalid mechanism", ErrInvalidRequest, func(attrs []string) error {
-			_, err := p.ReleaseMarginalFor(acct, with(invalid, attrs), s)
+			_, err := p.ReleaseMarginal(acct, with(invalid, attrs), s, nil)
 			return err
 		}},
 		{"marginal incompatible loss", privacy.ErrIncompatibleLoss, func(attrs []string) error {
-			_, err := p.ReleaseMarginalFor(acct, with(edge, attrs), s)
+			_, err := p.ReleaseMarginal(acct, with(edge, attrs), s, nil)
 			return err
 		}},
 		{"truncated incompatible loss", privacy.ErrIncompatibleLoss, func(attrs []string) error {
-			_, err := p.ReleaseMarginalFor(acct, with(trunc, attrs), s)
+			_, err := p.ReleaseMarginal(acct, with(trunc, attrs), s, nil)
 			return err
 		}},
 		{"cell over budget", privacy.ErrBudgetExhausted, func(attrs []string) error {
-			_, _, _, _, err := p.ReleaseSingleCellFor(acct, with(over, attrs), firstCell(attrs), s)
+			_, _, _, _, err := p.ReleaseSingleCell(acct, with(over, attrs), firstCell(attrs), s, nil)
 			return err
 		}},
 		{"cell invalid mechanism", ErrInvalidRequest, func(attrs []string) error {
-			_, _, _, _, err := p.ReleaseSingleCellFor(acct, with(invalid, attrs), firstCell(attrs), s)
+			_, _, _, _, err := p.ReleaseSingleCell(acct, with(invalid, attrs), firstCell(attrs), s, nil)
 			return err
 		}},
 		{"batch over budget", privacy.ErrBudgetExhausted, func(attrs []string) error {
-			_, err := p.ReleaseBatchFor(acct, []Request{with(over, attrs)}, s)
+			_, err := p.ReleaseBatch(acct, []Request{with(over, attrs)}, s, nil)
 			return err
 		}},
 		{"batch invalid mechanism", ErrInvalidRequest, func(attrs []string) error {
-			_, err := p.ReleaseBatchFor(nil, []Request{with(edge, attrs), with(invalid, attrs)}, s)
+			_, err := p.ReleaseBatch(nil, []Request{with(edge, attrs), with(invalid, attrs)}, s, nil)
 			return err
 		}},
 	}

@@ -123,12 +123,10 @@ type Release struct {
 // in-flight releases: a release started on epoch N never reads epoch
 // N+1 rows (see epoch.go).
 type Publisher struct {
-	accountant *privacy.Accountant
 	// snap is the current epoch snapshot; readers Load it exactly once
 	// per operation and use only that snapshot throughout.
 	snap atomic.Pointer[epochSnapshot]
-	// advanceMu serializes snapshot installation (Advance) and cache
-	// on/off toggling, both of which need a stable current snapshot.
+	// advanceMu serializes snapshot installation (Advance).
 	advanceMu sync.Mutex
 	// historyMu guards history, the per-epoch cache counters backing
 	// CacheStatsByEpoch. Old epochs' counters stay live: a release
@@ -163,24 +161,6 @@ func NewPublisher(d *lodes.Dataset) *Publisher {
 	sn := &epochSnapshot{epoch: d.Epoch, data: d, cache: newMarginalCache(d.Epoch)}
 	p.snap.Store(sn)
 	p.history = []*cacheCounters{sn.cache.stats}
-	return p
-}
-
-// WithAccountant attaches a budget accountant; every subsequent release
-// is charged against it and fails if the budget would be exceeded. The
-// accountant's spend-by-epoch ledger is fast-forwarded to the
-// publisher's current epoch (a fresh accountant opens at epoch 0, but
-// the dataset may already be several deltas into its lineage), so
-// ledger entries line up with Release.Epoch; from here Advance moves
-// them in lockstep. An accountant shared across publishers keeps its
-// own counter — attribution then follows whichever advanced it last.
-func (p *Publisher) WithAccountant(a *privacy.Accountant) *Publisher {
-	p.accountant = a
-	if a != nil {
-		for a.Epoch() < p.Epoch() {
-			a.AdvanceEpoch()
-		}
-	}
 	return p
 }
 
@@ -275,35 +255,26 @@ func epochStream(s *dist.Stream, epoch int) *dist.Stream {
 	return s.SplitIndex("epoch", epoch)
 }
 
-// ReleaseMarginal answers a marginal query under the request. The truth
-// is served from the pinned snapshot's marginal cache (computed on
-// first use); the noise is drawn fresh per cell from the given stream
-// split by the pinned epoch (see epochStream).
-func (p *Publisher) ReleaseMarginal(req Request, s *dist.Stream) (*Release, error) {
-	return p.ReleaseMarginalFor(p.accountant, req, s)
-}
-
-// ReleaseMarginalFor is ReleaseMarginal charging an explicit accountant
-// instead of the publisher's attached one — the multi-tenant serving
-// shape, where one publisher (one dataset, one shared truth cache)
-// fronts many tenants each with their own budget. A nil accountant
-// releases unaccounted.
-func (p *Publisher) ReleaseMarginalFor(a *privacy.Accountant, req Request, s *dist.Stream) (*Release, error) {
-	return p.ReleaseMarginalTagged(a, req, s, nil)
-}
-
-// ReleaseMarginalTagged is ReleaseMarginalFor carrying a spend tag —
-// the request's durable identity (sequence number and body digest) —
-// for the accountant's write-ahead journal. The tag is stamped with
-// the epoch the release actually pinned, so the journaled record names
-// exactly the bytes the response will carry; with wire determinism
-// that makes the record sufficient to recognize and replay a client
-// retry without charging twice. A nil tag charges untagged.
+// ReleaseMarginal answers a marginal query under the request, charging
+// the accountant a. The truth is served from the pinned snapshot's
+// marginal cache (computed on first use); the noise is drawn fresh per
+// cell from the given stream split by the pinned epoch (see
+// epochStream).
+//
+// One publisher (one dataset, one shared truth cache) fronts many
+// tenants, each with their own accountant; a nil accountant releases
+// unaccounted. The spend tag is the request's durable identity
+// (sequence number and body digest) for the accountant's write-ahead
+// journal. It is stamped with the epoch the release actually pinned, so
+// the journaled record names exactly the bytes the response will carry;
+// with wire determinism that makes the record sufficient to recognize
+// and replay a client retry without charging twice. A nil tag charges
+// untagged.
 //
 // The request is checked in full — parameters, attribute list,
 // mechanism, then the accountant's admission check — before its truth is
 // fetched, so a refused request scans, caches and draws nothing.
-func (p *Publisher) ReleaseMarginalTagged(a *privacy.Accountant, req Request, s *dist.Stream, tag *privacy.SpendTag) (*Release, error) {
+func (p *Publisher) ReleaseMarginal(a *privacy.Accountant, req Request, s *dist.Stream, tag *privacy.SpendTag) (*Release, error) {
 	sn := p.snap.Load()
 	loss, err := lossFor(req, definitionFor(req.Mechanism, req.Attrs), sn.data.Schema())
 	if err != nil {
@@ -410,28 +381,15 @@ func (sn *epochSnapshot) release(pr prepared, s *dist.Stream) (*Release, error) 
 }
 
 // ReleaseSingleCell answers one cell of a marginal (the paper's
-// Workload 2 regime: "single queries"). A single cell never pays the d·ε
-// marginal surcharge — that surcharge only arises when the full
-// worker-attribute marginal is released under weak privacy.
-func (p *Publisher) ReleaseSingleCell(req Request, cellValues []string, s *dist.Stream) (noisy float64, truth int64, loss privacy.Loss, err error) {
-	noisy, truth, loss, _, err = p.ReleaseSingleCellFor(p.accountant, req, cellValues, s)
-	return noisy, truth, loss, err
-}
-
-// ReleaseSingleCellFor is ReleaseSingleCell charging an explicit
-// accountant instead of the publisher's attached one (see
-// ReleaseMarginalFor). A nil accountant releases unaccounted. It also
-// reports the epoch of the snapshot the cell was read from, pinned
-// atomically with the read — a serving layer cannot learn it otherwise
-// without racing a concurrent Advance.
-func (p *Publisher) ReleaseSingleCellFor(a *privacy.Accountant, req Request, cellValues []string, s *dist.Stream) (noisy float64, truth int64, loss privacy.Loss, epoch int, err error) {
-	return p.ReleaseSingleCellTagged(a, req, cellValues, s, nil)
-}
-
-// ReleaseSingleCellTagged is ReleaseSingleCellFor carrying a spend tag
-// for the accountant's write-ahead journal (see ReleaseMarginalTagged);
-// the tag is stamped with the pinned epoch before the charge.
-func (p *Publisher) ReleaseSingleCellTagged(a *privacy.Accountant, req Request, cellValues []string, s *dist.Stream, tag *privacy.SpendTag) (noisy float64, truth int64, loss privacy.Loss, epoch int, err error) {
+// Workload 2 regime: "single queries"), charging the accountant a with
+// the tag stamped by the pinned epoch (a nil accountant releases
+// unaccounted, a nil tag charges untagged; see ReleaseMarginal). A
+// single cell never pays the d·ε marginal surcharge — that surcharge
+// only arises when the full worker-attribute marginal is released under
+// weak privacy. It also reports the epoch of the snapshot the cell was
+// read from, pinned atomically with the read — a serving layer cannot
+// learn it otherwise without racing a concurrent Advance.
+func (p *Publisher) ReleaseSingleCell(a *privacy.Accountant, req Request, cellValues []string, s *dist.Stream, tag *privacy.SpendTag) (noisy float64, truth int64, loss privacy.Loss, epoch int, err error) {
 	sn := p.snap.Load()
 	epoch = sn.epoch
 	if req.Mechanism == MechTruncatedLaplace {

@@ -23,9 +23,9 @@ func workload1Attrs() []string {
 
 func TestReleaseMarginalSmoothGamma(t *testing.T) {
 	p := testPublisher(t, 1)
-	rel, err := p.ReleaseMarginal(Request{
+	rel, err := p.ReleaseMarginal(nil, Request{
 		Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2,
-	}, dist.NewStreamFromSeed(2))
+	}, dist.NewStreamFromSeed(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,9 @@ func TestReleaseMarginalSmoothGamma(t *testing.T) {
 func TestReleaseMarginalWeakDefinitionAndSurcharge(t *testing.T) {
 	p := testPublisher(t, 3)
 	attrs := append(workload1Attrs(), lodes.AttrSex, lodes.AttrEducation)
-	rel, err := p.ReleaseMarginal(Request{
+	rel, err := p.ReleaseMarginal(nil, Request{
 		Attrs: attrs, Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2,
-	}, dist.NewStreamFromSeed(4))
+	}, dist.NewStreamFromSeed(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,9 @@ func TestReleaseMarginalWeakDefinitionAndSurcharge(t *testing.T) {
 
 func TestReleaseMarginalEdgeLaplace(t *testing.T) {
 	p := testPublisher(t, 5)
-	rel, err := p.ReleaseMarginal(Request{
+	rel, err := p.ReleaseMarginal(nil, Request{
 		Attrs: workload1Attrs(), Mechanism: MechEdgeLaplace, Eps: 1,
-	}, dist.NewStreamFromSeed(6))
+	}, dist.NewStreamFromSeed(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +92,9 @@ func TestReleaseMarginalEdgeLaplace(t *testing.T) {
 
 func TestReleaseMarginalTruncatedLaplace(t *testing.T) {
 	p := testPublisher(t, 7)
-	rel, err := p.ReleaseMarginal(Request{
+	rel, err := p.ReleaseMarginal(nil, Request{
 		Attrs: workload1Attrs(), Mechanism: MechTruncatedLaplace, Eps: 4, Theta: 100,
-	}, dist.NewStreamFromSeed(8))
+	}, dist.NewStreamFromSeed(8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +115,21 @@ func TestReleaseMarginalTruncatedLaplace(t *testing.T) {
 func TestReleaseValidityErrors(t *testing.T) {
 	p := testPublisher(t, 9)
 	// Smooth Gamma out of validity region.
-	if _, err := p.ReleaseMarginal(Request{
+	if _, err := p.ReleaseMarginal(nil, Request{
 		Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 0.25,
-	}, dist.NewStreamFromSeed(1)); err == nil {
+	}, dist.NewStreamFromSeed(1), nil); err == nil {
 		t.Error("invalid SmoothGamma parameters accepted")
 	}
 	// Smooth Laplace below Table 2 minimum.
-	if _, err := p.ReleaseMarginal(Request{
+	if _, err := p.ReleaseMarginal(nil, Request{
 		Attrs: workload1Attrs(), Mechanism: MechSmoothLaplace, Alpha: 0.2, Eps: 0.5, Delta: 0.05,
-	}, dist.NewStreamFromSeed(1)); err == nil {
+	}, dist.NewStreamFromSeed(1), nil); err == nil {
 		t.Error("invalid SmoothLaplace parameters accepted")
 	}
 	// Unknown attribute.
-	if _, err := p.ReleaseMarginal(Request{
+	if _, err := p.ReleaseMarginal(nil, Request{
 		Attrs: []string{"nonsense"}, Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2,
-	}, dist.NewStreamFromSeed(1)); err == nil {
+	}, dist.NewStreamFromSeed(1), nil); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 }
@@ -138,9 +138,9 @@ func TestReleaseSingleCell(t *testing.T) {
 	p := testPublisher(t, 10)
 	attrs := append(workload1Attrs(), lodes.AttrSex, lodes.AttrEducation)
 	values := []string{lodes.PlaceName(0), "44-Retail", "Private", "F", "BachelorsPlus"}
-	noisy, truth, loss, err := p.ReleaseSingleCell(Request{
+	noisy, truth, loss, _, err := p.ReleaseSingleCell(nil, Request{
 		Attrs: attrs, Mechanism: MechSmoothLaplace, Alpha: 0.1, Eps: 2, Delta: 0.05,
-	}, values, dist.NewStreamFromSeed(11))
+	}, values, dist.NewStreamFromSeed(11), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestReleaseSingleCell(t *testing.T) {
 
 func TestReleaseSingleCellErrors(t *testing.T) {
 	p := testPublisher(t, 12)
-	if _, _, _, err := p.ReleaseSingleCell(Request{
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, Request{
 		Attrs: workload1Attrs(), Mechanism: MechTruncatedLaplace, Eps: 1, Theta: 10,
-	}, []string{lodes.PlaceName(0), "44-Retail", "Private"}, dist.NewStreamFromSeed(1)); err == nil {
+	}, []string{lodes.PlaceName(0), "44-Retail", "Private"}, dist.NewStreamFromSeed(1), nil); err == nil {
 		t.Error("truncated-laplace single cell accepted")
 	}
-	if _, _, _, err := p.ReleaseSingleCell(Request{
+	if _, _, _, _, err := p.ReleaseSingleCell(nil, Request{
 		Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2,
-	}, []string{"bad-place", "44-Retail", "Private"}, dist.NewStreamFromSeed(1)); err == nil {
+	}, []string{"bad-place", "44-Retail", "Private"}, dist.NewStreamFromSeed(1), nil); err == nil {
 		t.Error("bad cell value accepted")
 	}
 }
@@ -179,16 +179,16 @@ func TestPublisherAccountantIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPublisher(d).WithAccountant(acct)
+	p := NewPublisher(d)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothGamma, Alpha: 0.1, Eps: 2}
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(14)); err != nil {
+	if _, err := p.ReleaseMarginal(acct, req, dist.NewStreamFromSeed(14), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(15)); err != nil {
+	if _, err := p.ReleaseMarginal(acct, req, dist.NewStreamFromSeed(15), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Third release would need eps=6 > 4.
-	if _, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(16)); err == nil {
+	if _, err := p.ReleaseMarginal(acct, req, dist.NewStreamFromSeed(16), nil); err == nil {
 		t.Error("budget-exhausting release accepted")
 	}
 	if acct.Releases() != 2 {
@@ -199,11 +199,11 @@ func TestPublisherAccountantIntegration(t *testing.T) {
 func TestReleaseDeterministicForStream(t *testing.T) {
 	p := testPublisher(t, 17)
 	req := Request{Attrs: workload1Attrs(), Mechanism: MechSmoothLaplace, Alpha: 0.1, Eps: 2, Delta: 0.05}
-	a, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(18))
+	a, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(18), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.ReleaseMarginal(req, dist.NewStreamFromSeed(18))
+	b, err := p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(18), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

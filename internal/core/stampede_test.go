@@ -34,7 +34,7 @@ func TestMarginalCacheStampedeSingleScan(t *testing.T) {
 			<-start
 			// Same seed everywhere: identical requests must yield identical
 			// releases no matter who led the scan.
-			rels[g], errs[g] = p.ReleaseMarginal(req, dist.NewStreamFromSeed(7))
+			rels[g], errs[g] = p.ReleaseMarginal(nil, req, dist.NewStreamFromSeed(7), nil)
 		}(g)
 	}
 	close(start)
@@ -61,150 +61,6 @@ func TestMarginalCacheStampedeSingleScan(t *testing.T) {
 				t.Fatalf("goroutine %d cell %d: %v != %v (releases not identical)", g, i, rels[g].Noisy[i], rels[0].Noisy[i])
 			}
 		}
-	}
-}
-
-// TestInvalidateDuringScanDoesNotResurrect pins the invalidation
-// contract under concurrency: a scan that is in flight when
-// InvalidateMarginalCache runs must not commit its (now pre-mutation)
-// truth into the fresh cache. The interleaving is forced by invoking
-// the invalidation from inside the compute callback itself.
-func TestInvalidateDuringScanDoesNotResurrect(t *testing.T) {
-	p := testPublisher(t, 43)
-	key := exactKey(workload1Attrs())
-
-	e, fresh, err := p.snap.Load().cache.getOrCompute(key, func() (*marginalEntry, error) {
-		p.InvalidateMarginalCache() // the dataset "mutated" mid-scan
-		return computeEntryFor(p.snap.Load(), workload1Attrs())
-	})
-	if err != nil || e == nil {
-		t.Fatalf("getOrCompute: %v, %v", e, err)
-	}
-	if !fresh {
-		t.Fatal("leader's own scan not reported fresh")
-	}
-	if _, ok := p.snap.Load().cache.lookup(key); ok {
-		t.Fatal("a scan spanning InvalidateMarginalCache committed its stale truth into the fresh cache")
-	}
-	// The key stays serviceable: the next request runs a fresh scan and
-	// commits normally.
-	if _, err := p.Marginal(workload1Attrs()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.snap.Load().cache.lookup(key); !ok {
-		t.Fatal("post-invalidation scan did not commit")
-	}
-}
-
-// TestPostInvalidationRequestDoesNotFollowStaleFlight: a request that
-// begins after InvalidateMarginalCache must not be served by a scan
-// that was already in flight when the invalidation ran — it scans for
-// itself and commits the fresh truth.
-func TestPostInvalidationRequestDoesNotFollowStaleFlight(t *testing.T) {
-	p := testPublisher(t, 46)
-	key := exactKey(workload1Attrs())
-
-	staleEntry, err := computeEntryFor(p.snap.Load(), workload1Attrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaderIn := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		p.snap.Load().cache.getOrCompute(key, func() (*marginalEntry, error) {
-			close(leaderIn)
-			<-release
-			return staleEntry, nil // stands in for pre-mutation truth
-		})
-	}()
-	<-leaderIn
-	p.InvalidateMarginalCache()
-
-	// This request begins strictly after the invalidation: it must not
-	// receive staleEntry even though the leader's flight is still open.
-	e, fresh, err := p.snap.Load().cache.getOrCompute(key, func() (*marginalEntry, error) {
-		return computeEntryFor(p.snap.Load(), workload1Attrs())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e == staleEntry {
-		t.Fatal("post-invalidation request was served by the pre-invalidation flight")
-	}
-	if !fresh {
-		t.Fatal("post-invalidation request did not run its own scan")
-	}
-	close(release)
-	<-leaderDone
-	if got, ok := p.snap.Load().cache.lookup(key); !ok || got == staleEntry {
-		t.Fatalf("committed entry after the dust settles = (%v, %v), want the fresh truth", got, ok)
-	}
-}
-
-// TestDisableRaceStaysCold pins the disable contract against scans that
-// race SetMarginalCacheEnabled: a scan that observed the cache on but
-// commits while it is off (the racer read off==false just before the
-// disable landed), and a straggler whose commit lands only after a
-// re-enable, must both stay out of the cache — "a subsequent enable
-// starts cold" even under concurrency.
-func TestDisableRaceStaysCold(t *testing.T) {
-	p := testPublisher(t, 45)
-	key := exactKey(workload1Attrs())
-
-	// Disable lands mid-scan: the flight predates the disable.
-	if _, _, err := p.snap.Load().cache.getOrCompute(key, func() (*marginalEntry, error) {
-		p.SetMarginalCacheEnabled(false)
-		return computeEntryFor(p.snap.Load(), workload1Attrs())
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.snap.Load().cache.lookup(key); ok {
-		t.Fatal("scan spanning a disable committed into the cleared cache")
-	}
-
-	// Racer registered after the disable (it read off==false just before):
-	// its commit while off must be blocked by the off check.
-	if _, _, err := p.snap.Load().cache.getOrCompute(key, func() (*marginalEntry, error) {
-		return computeEntryFor(p.snap.Load(), workload1Attrs())
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.snap.Load().cache.lookup(key); ok {
-		t.Fatal("scan committed while the cache was disabled")
-	}
-
-	// Straggler whose commit lands after the re-enable: blocked by the
-	// generation bump on enable.
-	if _, _, err := p.snap.Load().cache.getOrCompute(key, func() (*marginalEntry, error) {
-		p.SetMarginalCacheEnabled(true)
-		return computeEntryFor(p.snap.Load(), workload1Attrs())
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.snap.Load().cache.lookup(key); ok {
-		t.Fatal("disabled-window straggler warmed the re-enabled cache")
-	}
-
-	// The enabled cache works normally from here.
-	if _, err := p.Marginal(workload1Attrs()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.snap.Load().cache.lookup(key); !ok {
-		t.Fatal("post-enable scan did not commit")
-	}
-
-	// Enabling an already-enabled cache is a no-op: the warm entry
-	// survives and the generation does not move (a bump here would
-	// doom every in-flight scan's commit for no reason).
-	gen := p.snap.Load().cache.gen.Load()
-	p.SetMarginalCacheEnabled(true)
-	if _, ok := p.snap.Load().cache.lookup(key); !ok {
-		t.Fatal("redundant enable dropped the warm cache")
-	}
-	if got := p.snap.Load().cache.gen.Load(); got != gen {
-		t.Fatalf("redundant enable moved the generation %d -> %d", gen, got)
 	}
 }
 

@@ -171,8 +171,8 @@ func TestApplyDeltaManualEvents(t *testing.T) {
 		t.Fatal("no establishment with employment >= 3")
 	}
 	dl := &Delta{
-		Deaths: []int32{d.Establishments[0].ID},
-		Hires: []Hire{{Est: grown, Jobs: []JobRecord{{Sex: 1, Age: 3, Race: 0, Ethnicity: 1, Education: 2}}}},
+		Deaths:      []int32{d.Establishments[0].ID},
+		Hires:       []Hire{{Est: grown, Jobs: []JobRecord{{Sex: 1, Age: 3, Race: 0, Ethnicity: 1, Education: 2}}}},
 		Separations: []Separation{{Est: grown, Count: 2}},
 		Births: []Birth{{Place: 1, Industry: 6, Ownership: 0,
 			Jobs: []JobRecord{{Age: 4}, {Sex: 1, Age: 2, Education: 3}}}},

@@ -255,13 +255,14 @@ func (a *Accountant) SpendAll(losses []Loss) error {
 }
 
 // AdvanceEpoch seals the current ledger entry and opens the next epoch,
-// returning its number. The publisher calls this when it installs a new
-// dataset snapshot, so subsequent charges are attributed to releases of
-// the new epoch. (A release pinned to an older snapshot that charges
-// after the advance is attributed to the open epoch — attribution
-// follows spend time; the enforced total is unaffected.) With a
-// journal attached a journal failure leaves the ledger unchanged; use
-// AdvanceEpochLogged to observe it.
+// returning its number. Whoever advances the publisher's dataset calls
+// this (the serving layer through Registry.AdvanceEpoch), so subsequent
+// charges are attributed to releases of the new epoch. (A release
+// pinned to an older snapshot that charges after the advance is
+// attributed to the open epoch — attribution follows spend time; the
+// enforced total is unaffected.) With a journal attached a journal
+// failure leaves the ledger unchanged; use AdvanceEpochLogged to
+// observe it.
 func (a *Accountant) AdvanceEpoch() int {
 	n, _ := a.AdvanceEpochLogged()
 	return n

@@ -172,6 +172,12 @@ type Split struct {
 // Cauchy noise: ε₂ = 5·ln(1+α) — the smallest ε₂ whose dilation bound
 // b = ε₂/5 satisfies e^b >= 1+α — and ε₁ = ε − ε₂. It errors when
 // α+1 >= e^{ε/5}, the validity condition in Algorithm 2's input line.
+//
+// In floating point 5·ln(1+α) can round low enough that e^b < 1+α (for
+// α = 0.3, 0.58 and a few others), which would leave every cell's
+// smooth sensitivity unbounded. ε₂ is then raised by single ulps until
+// e^b >= 1+α, and the split is refused if that leaves no ε₁ > 0.
+// Where the formula already holds, the split is exactly the formula's.
 func GammaSplit(eps, alpha float64) (Split, error) {
 	if !(eps > 0) {
 		return Split{}, fmt.Errorf("smooth: eps must be positive, got %v", eps)
@@ -184,7 +190,13 @@ func GammaSplit(eps, alpha float64) (Split, error) {
 	}
 	n := GenCauchyNoise{}
 	eps2 := 5 * math.Log(1+alpha)
+	for math.Exp(n.DilateBound(eps2)) < 1+alpha {
+		eps2 = math.Nextafter(eps2, math.Inf(1))
+	}
 	eps1 := eps - eps2
+	if !(eps1 > 0) {
+		return Split{}, fmt.Errorf("smooth: Smooth Gamma requires alpha+1 < e^(eps/5); alpha=%v eps=%v", alpha, eps)
+	}
 	return Split{
 		Eps1: eps1,
 		Eps2: eps2,

@@ -144,6 +144,50 @@ func TestGammaSplitValidityRegion(t *testing.T) {
 	}
 }
 
+// TestGammaSplitFloatEdge sweeps α = 0.01…1.00 at ε = 20, where every
+// α is inside Algorithm 2's validity region. For some α (0.3, 0.58, …)
+// 5·ln(1+α) rounds low enough that e^{ε₂/5} < 1+α; the split must still
+// bound the smooth sensitivity of every cell. Where the formula already
+// holds, the split must be exactly the formula's, bit for bit.
+func TestGammaSplitFloatEdge(t *testing.T) {
+	const eps = 20.0
+	n := GenCauchyNoise{}
+	edges := 0
+	for i := 1; i <= 100; i++ {
+		alpha := float64(i) / 100
+		sp, err := GammaSplit(eps, alpha)
+		if err != nil {
+			t.Fatalf("alpha=%v: %v", alpha, err)
+		}
+		for _, xv := range []int64{0, 1, 1e6} {
+			if _, err := Sensitivity(xv, alpha, sp.B); err != nil {
+				t.Fatalf("alpha=%v x_v=%d: %v", alpha, xv, err)
+			}
+		}
+		if !(sp.Eps1 > 0) || sp.Eps1 != eps-sp.Eps2 || sp.A != n.SlideBound(sp.Eps1) || sp.B != n.DilateBound(sp.Eps2) {
+			t.Fatalf("alpha=%v: inconsistent split %+v", alpha, sp)
+		}
+		// A budget of exactly ε₂ leaves no ε₁ and must be refused.
+		if _, err := GammaSplit(sp.Eps2, alpha); err == nil {
+			t.Errorf("alpha=%v: eps = eps2 = %v accepted with no sliding budget", alpha, sp.Eps2)
+		}
+		formula := 5 * math.Log(1+alpha)
+		if math.Exp(n.DilateBound(formula)) < 1+alpha {
+			edges++
+			if !(sp.Eps2 > formula) {
+				t.Errorf("alpha=%v: eps2 = %v, want above the rounded formula %v", alpha, sp.Eps2, formula)
+			}
+			continue
+		}
+		if math.Float64bits(sp.Eps2) != math.Float64bits(formula) {
+			t.Errorf("alpha=%v: eps2 = %v, want the formula's %v bit for bit", alpha, sp.Eps2, formula)
+		}
+	}
+	if edges == 0 {
+		t.Error("no α in the sweep hits the float edge; the sweep no longer tests it")
+	}
+}
+
 func TestLaplaceSplit(t *testing.T) {
 	eps, delta, alpha := 2.0, 0.05, 0.1
 	sp, err := LaplaceSplit(eps, delta, alpha)

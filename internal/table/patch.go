@@ -587,31 +587,31 @@ func (v *MarginalView) Flat() bool { return v.flat }
 func (v *MarginalView) Clone() *MarginalView {
 	size := v.q.size
 	c := &MarginalView{
-		q:         v.q,
-		m:         v.m,
-		ents:      append([]int32(nil), v.ents...),
-		cellsOf:   make([][]viewCell, len(v.cellsOf)),
-		owned:     make([]bool, len(v.owned)),
-		staticOf:  append([]int32(nil), v.staticOf...),
-		mixed:     append([]bool(nil), v.mixed...),
-		flat:      v.flat,
-		flatCnt:   append([]int32(nil), v.flatCnt...),
-		flatCell:  append([]int32(nil), v.flatCell...),
+		q:          v.q,
+		m:          v.m,
+		ents:       append([]int32(nil), v.ents...),
+		cellsOf:    make([][]viewCell, len(v.cellsOf)),
+		owned:      make([]bool, len(v.owned)),
+		staticOf:   append([]int32(nil), v.staticOf...),
+		mixed:      append([]bool(nil), v.mixed...),
+		flat:       v.flat,
+		flatCnt:    append([]int32(nil), v.flatCnt...),
+		flatCell:   append([]int32(nil), v.flatCell...),
 		weights:    v.weights,
 		staticIdx:  v.staticIdx,
 		staticMask: v.staticMask,
-		dynIdx:    v.dynIdx,
-		allIdx:    v.allIdx,
-		top:       append([]topEntry(nil), v.top...),
-		topLen:    append([]uint8(nil), v.topLen...),
-		complete:  append([]bool(nil), v.complete...),
-		floor:     append([]int32(nil), v.floor...),
-		outCnt:    make([]int32, size),
-		inCnt:     make([]int32, size),
-		cellHead:  make([]int32, size),
-		fbMark:    make([]bool, size),
-		diffBuf:   make([]viewCell, 0, cap(v.diffBuf)),
-		chgBuf:    make([]viewChange, 0, cap(v.chgBuf)),
+		dynIdx:     v.dynIdx,
+		allIdx:     v.allIdx,
+		top:        append([]topEntry(nil), v.top...),
+		topLen:     append([]uint8(nil), v.topLen...),
+		complete:   append([]bool(nil), v.complete...),
+		floor:      append([]int32(nil), v.floor...),
+		outCnt:     make([]int32, size),
+		inCnt:      make([]int32, size),
+		cellHead:   make([]int32, size),
+		fbMark:     make([]bool, size),
+		diffBuf:    make([]viewCell, 0, cap(v.diffBuf)),
+		chgBuf:     make([]viewChange, 0, cap(v.chgBuf)),
 	}
 	// Deep-copy the contribution lists so the clone is fully independent
 	// of (and as warm as) the original: a clone exists to replay a chain
