@@ -838,6 +838,117 @@ func BenchmarkAdvanceEvictRescan(b *testing.B) {
 	}
 }
 
+var (
+	benchWideOnce  sync.Once
+	benchWideQs    []*table.Query
+	benchWideViews []*table.MarginalView
+)
+
+// benchWideSetup compiles advance-wide's working set — the 92
+// canonical one- to three-attribute sets — and builds one pristine
+// view of each on the calibrated chain's base index.
+func benchWideSetup(b *testing.B) {
+	b.Helper()
+	benchPatchSetup(b)
+	benchWideOnce.Do(func() {
+		s := benchDeltaData.Schema()
+		names := s.Names()
+		var sets [][]string
+		for i := range names {
+			sets = append(sets, []string{names[i]})
+			for j := i + 1; j < len(names); j++ {
+				sets = append(sets, []string{names[i], names[j]})
+				for k := j + 1; k < len(names); k++ {
+					sets = append(sets, []string{names[i], names[j], names[k]})
+				}
+			}
+		}
+		for _, attrs := range sets {
+			q, err := table.NewQuery(s, attrs...)
+			if err != nil {
+				panic(err)
+			}
+			v, err := table.NewMarginalView(benchPatchBaseIx, q)
+			if err != nil {
+				panic(err)
+			}
+			benchWideQs = append(benchWideQs, q)
+			benchWideViews = append(benchWideViews, v)
+		}
+	})
+}
+
+// liveHeapMiB is the live heap after two collections (the first moves
+// pooled scan scratch to sync.Pool's victim cache, the second frees it).
+func liveHeapMiB() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
+// BenchmarkAdvanceWideWorkingSet measures view maintenance over
+// advance-wide's working set: all 92 canonical one- to three-attribute
+// sets, 85 of them over a worker attribute, where the gated 8-view set
+// has one. build is 92 × NewMarginalView on the base index; apply is
+// the calibrated 8-quarter chain — NewPatchFrame plus ApplyFrame per
+// view — on clones of pristine views, over freshly merged indexes, as
+// in BenchmarkAdvancePatched. Each reports view-MiB, the heap its views
+// retain at the end, their truths included. Not gated: it exists to
+// show the kernel's memory and its cost on the wide set.
+func BenchmarkAdvanceWideWorkingSet(b *testing.B) {
+	benchWideSetup(b)
+	b.Run("build", func(b *testing.B) {
+		before := liveHeapMiB()
+		var views []*table.MarginalView
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			views = views[:0]
+			for _, q := range benchWideQs {
+				v, err := table.NewMarginalView(benchPatchBaseIx, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				views = append(views, v)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(liveHeapMiB()-before, "view-MiB")
+		runtime.KeepAlive(views)
+	})
+	b.Run("apply", func(b *testing.B) {
+		var viewMiB float64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ixs := benchFreshChain(b)
+			before := liveHeapMiB() // also drains the chain rebuild's GC debt
+			views := make([]*table.MarginalView, len(benchWideViews))
+			for j, v := range benchWideViews {
+				views[j] = v.Clone()
+			}
+			b.StartTimer()
+			for q := 0; q < benchQuarters; q++ {
+				f, err := table.NewPatchFrame(ixs[q], ixs[q+1], benchPatchTouched[q], benchPatchKept[q])
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, v := range views {
+					if _, _, err := v.ApplyFrame(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if i == b.N-1 {
+				b.StopTimer()
+				viewMiB = liveHeapMiB() - before
+				runtime.KeepAlive(views)
+			}
+		}
+		b.ReportMetric(viewMiB, "view-MiB")
+	})
+}
+
 // BenchmarkReleaseDuringAdvance measures serving latency while the
 // publisher continuously absorbs quarterly deltas in the background —
 // the serve-during-update regime the epoch-snapshot design exists for.

@@ -40,15 +40,15 @@ type epochSnapshot struct {
 // untouched — its affected-cell set (table.AffectedCells over the
 // delta's touched establishments) is empty, so the truth is
 // bit-identical in the new epoch — or *patched*: the delta's
-// contribution is applied to the cached truth in place
-// (table.MarginalView.Apply — O(changed rows), no rescan), counted in
-// CacheStats.Patches. The cache holds canonical truths only, so there is
-// nothing else to re-derive: other attribute orders are remapped per
-// request from whatever the new epoch holds. Only entries the
-// maintenance path cannot handle (a poisoned view, a heavy delta) are
-// evicted and recomputed on demand. Entries are keyed by version
-// structurally: each epoch owns its cache, so a truth can never leak
-// across epochs.
+// contribution is applied to the cached truth through its maintained
+// view (table.MarginalView.ApplyFrame — O(rows in the touched groups),
+// no rescan), counted in CacheStats.Patches. The cache holds canonical
+// truths only, so there is nothing else to re-derive: other attribute
+// orders are remapped per request from whatever the new epoch holds.
+// Only entries the maintenance path cannot handle (a poisoned view, a
+// heavy delta) are evicted and recomputed on demand. Entries are keyed
+// by version structurally: each epoch owns its cache, so a truth can
+// never leak across epochs.
 //
 // Advance moves no accountant's ledger: the caller advances each
 // accountant it charges (privacy.Accountant.AdvanceEpoch, or the
@@ -84,20 +84,28 @@ func (p *Publisher) Advance(delta *lodes.Delta) error {
 	return nil
 }
 
-// patchChurnCeiling is the TouchedGroupFraction above which an advance
-// counts as heavy: beyond it, patching a non-flat view's truth costs
-// more than evicting and rescanning it (measured crossover is well
-// above the ~25% of establishments BLS-calibrated churn touches, and
-// below the ~100% the stress generators touch). Flatness is only known
+// patchChurnCeiling is the fraction of base establishment groups an
+// advance may touch before it counts as heavy. A non-flat view keeps no
+// per-establishment state, so patching it re-reads every touched group
+// — kept prefix, removed suffix and appended tail — over the view's
+// dynamic attributes: O(rows in touched groups × dynamic attributes).
+// BLS-calibrated churn touches ~15% of establishments, whose groups
+// hold about a fifth of the rows; the stress generators touch nearly
+// all of them, where a patch costs as much as the rescan it avoids.
+// Heavy advances evict non-flat truths instead. Flatness is only known
 // once a view exists, so heavy advances never build new views.
 const patchChurnCeiling = 0.5
 
 // maintainEntries carries the old epoch's committed truths — one per
 // canonical attribute set — into the successor epoch, patching the ones
 // the delta affected through their maintained view (built lazily, on
-// the first Advance that affects them, from the base index). Any truth
-// the maintenance path cannot handle is evicted instead. Runs under
-// advanceMu — the views map and each view's scratch are single-writer
+// the first Advance that affects them, from the base index). A view's
+// state is per cell — the truth, each cell's top-contributor window and
+// per-cell scratch, about 90 bytes a cell beyond the truth — and it
+// reads every touched establishment's rows back from the two indexes,
+// so its memory does not grow with the table. Any truth the maintenance
+// path cannot handle is evicted instead. Runs under advanceMu — the
+// views map, each view's scratch and the shared frame are single-writer
 // by construction.
 func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.Index, touched, kept []int32, nextEpoch int) (carried map[string]*marginalEntry, patched, evicted int64) {
 	entries := old.cache.committed()
@@ -118,15 +126,15 @@ func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.In
 	}
 	affected := table.Affected(baseIx, nextIx, touched, qs)
 
-	// Cost gate: patching a per-row (non-flat) view is O(touched groups
-	// + changed rows) while the rescan it avoids is O(table), so once a
-	// delta churns most of the frame — the stress regimes, not BLS
-	// reality — patching costs more than it saves. Heavy advances evict
-	// those truths instead (recomputed on demand, exactly the
-	// pre-maintenance behavior); flat views patch in O(1) per span and
-	// stay worth patching at any churn level. The signal counts touched
-	// establishments against base groups (newborns inflate it slightly —
-	// conservative in the right direction).
+	// Cost gate: patching a non-flat view is O(rows in touched groups ×
+	// dynamic attributes) while the rescan it avoids is O(table rows ×
+	// attributes), so once a delta churns most of the frame — the stress
+	// regimes, not BLS reality — patching costs as much as it saves.
+	// Heavy advances evict those truths instead (recomputed on demand,
+	// exactly the pre-maintenance behavior); flat views patch in O(1) per
+	// span and stay worth patching at any churn level. The signal counts
+	// touched establishments against base groups (newborns inflate it
+	// slightly — conservative in the right direction).
 	heavy := baseIx.NumGroups() > 0 &&
 		float64(len(touched))/float64(baseIx.NumGroups()) > patchChurnCeiling
 
@@ -156,10 +164,8 @@ func (p *Publisher) maintainEntries(old *epochSnapshot, baseIx, nextIx *table.In
 		}
 		if !affected[i] {
 			// Truth bit-identical across the bump: carry the entry as-is.
-			// An existing view still absorbs the delta — per-establishment
-			// contributions can change even when no cell statistic does,
-			// and the view must reflect the successor index to patch the
-			// *next* delta correctly.
+			// An existing view still absorbs the frame, so it reflects the
+			// successor index the *next* frame is based on.
 			if mv != nil {
 				if f, err := getFrame(); err == nil {
 					if _, _, err := mv.view.ApplyFrame(f); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -310,10 +311,9 @@ func TestAdvanceHeavyChurnEvicts(t *testing.T) {
 func TestAdvanceOneEntryPerSet(t *testing.T) {
 	data := lodes.DefaultConfig()
 	if raceEnabled {
-		// The race detector multiplies the ~200 MiB of maintained views
-		// two calibrated advances build at default scale about fivefold;
-		// no assertion here depends on scale, so the race leg keeps the
-		// default schema over a tenth of the establishments.
+		// The race detector multiplies heap use about fivefold and slows
+		// every scan; no assertion here depends on scale, so the race leg
+		// keeps the default schema over a tenth of the establishments.
 		data.NumEstablishments /= 10
 	}
 	p := NewPublisher(lodes.MustGenerate(data, dist.NewStreamFromSeed(1)))
@@ -430,6 +430,87 @@ func TestAdvanceOneEntryPerSet(t *testing.T) {
 	}
 	if _, ok := wide.snap.Load().cache.lookup(exactKey(names)); !ok {
 		t.Fatal("the 8-attribute set is not cached under its canonical spelling")
+	}
+}
+
+// TestAdvanceViewStatePerCell pins the maintained views' memory and
+// bit-identity on default data. With a truth cached for each of the 92
+// canonical one- to three-attribute sets, four calibrated advances
+// patch every truth through its view, and each patched truth equals a
+// fresh Index.Compute after every quarter. The views then retain at
+// most 32 MiB of heap beyond the truths they share with the cache:
+// their state is per cell, not per establishment (a per-establishment
+// directory retained ~130 MiB here).
+func TestAdvanceViewStatePerCell(t *testing.T) {
+	p := NewPublisher(lodes.MustGenerate(lodes.DefaultConfig(), dist.NewStreamFromSeed(1)))
+	schema := p.Dataset().Schema()
+	names := schema.Names()
+	var sets [][]string
+	for i := range names {
+		sets = append(sets, []string{names[i]})
+		for j := i + 1; j < len(names); j++ {
+			sets = append(sets, []string{names[i], names[j]})
+			for k := j + 1; k < len(names); k++ {
+				sets = append(sets, []string{names[i], names[j], names[k]})
+			}
+		}
+	}
+	if len(sets) != 92 {
+		t.Fatalf("%d canonical sets, want 92", len(sets))
+	}
+	if err := p.PrefetchMarginals(sets); err != nil {
+		t.Fatal(err)
+	}
+	for quarter := 1; quarter <= 4; quarter++ {
+		dl, err := lodes.GenerateDelta(p.Dataset(), lodes.CalibratedDeltaConfig(), dist.NewStreamFromSeed(int64(800+quarter)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Advance(dl); err != nil {
+			t.Fatal(err)
+		}
+		if st := p.MarginalCacheStats(); st.Patches != int64(len(sets)) || st.Evictions != 0 {
+			t.Fatalf("quarter %d: advance stats %+v, want all %d truths patched", quarter, st, len(sets))
+		}
+		ix := p.Dataset().WorkerFull.Index()
+		for _, attrs := range sets {
+			got, err := p.Marginal(attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := table.NewQuery(schema, attrs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMarginalEqual(t, got, ix.Compute(q), fmt.Sprintf("quarter %d %v", quarter, attrs))
+		}
+		if st := p.MarginalCacheStats(); st.Misses != 0 {
+			t.Fatalf("quarter %d: a patched truth was rescanned (%+v)", quarter, st)
+		}
+	}
+	if len(p.views) != len(sets) {
+		t.Fatalf("%d maintained views, want %d", len(p.views), len(sets))
+	}
+	if raceEnabled {
+		return // the race detector's shadow memory inflates the heap
+	}
+	// Two collections per reading: the first moves the index's pooled
+	// scan scratch to sync.Pool's victim cache, the second frees it.
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	n := len(p.views)
+	withViews := liveHeap()
+	p.views = nil
+	retained := withViews - liveHeap()
+	runtime.KeepAlive(p)
+	t.Logf("%d views retain %.1f MiB", n, float64(retained)/(1<<20))
+	if retained > 32<<20 {
+		t.Fatalf("%d views retain %.1f MiB of heap, want at most 32 MiB", n, float64(retained)/(1<<20))
 	}
 }
 

@@ -135,9 +135,9 @@ type Publisher struct {
 	history   []*cacheCounters
 
 	// views holds the live maintenance state of cached canonical truths,
-	// keyed like the cache: the per-establishment contribution lists and
-	// per-cell top-K tracking that let Advance patch a truth in place
-	// instead of evicting it (table.MarginalView). Views are built
+	// keyed like the cache: the per-cell top-K tracking that lets Advance
+	// patch a truth in place instead of evicting it
+	// (table.MarginalView). Views are built
 	// lazily — on the first Advance that affects a cached truth — and
 	// consulted, mutated and pruned only under advanceMu.
 	views map[string]*maintainedView

@@ -194,7 +194,7 @@ func (dl *Delta) Touched(base *Dataset) (ids, rows []int32) {
 // layout (base rows minus separations for survivors; zero for deaths,
 // which keep no rows, and births, which had none). This is the exact
 // per-establishment description the incremental view-maintenance
-// kernel (table.MarginalView.Apply) consumes.
+// kernel (table.NewPatchFrame) consumes.
 func (dl *Delta) TouchedKept(base *Dataset) (ids, rows, kept []int32) {
 	// Dense per-establishment accumulation: a heavy churn quarter
 	// touches most of the frame, so the frame-sized array beats a map.

@@ -11,34 +11,36 @@ import (
 // suffix of the old group and appends new rows after the kept prefix
 // (lodes.Dataset.ApplyDelta's layout contract). A cached marginal can
 // therefore be *patched* instead of rescanned: the only (entity, cell)
-// contributions that change are the ones named by the removed and added
-// tail rows, and everything the patch needs beyond the tails — the
-// entity's previous total contribution per cell — is carried in a
-// MarginalView, the per-establishment contribution list maintained
-// alongside the truth. Maintenance cost is O(delta rows + changed
-// cells) per quarter, not O(touched groups) and not O(table): on the
-// default churn regime ~84% of all rows sit in touched groups, so even
-// a touched-groups-only rescan would barely beat the full pass the
-// cache paid before.
+// contributions that change are those of the touched establishments,
+// and each one's old and new totals are its kept prefix plus,
+// respectively, its removed suffix or its appended tail. A MarginalView
+// keeps only per-cell state — the marginal and each cell's tracked
+// top-contributor window — and reads every per-establishment quantity
+// back from the base and successor indexes, so its memory is O(cells),
+// not O(rows). Maintenance costs O(rows in touched groups × dynamic
+// attributes) per quarter. The touched groups hold about a fifth of the
+// rows under calibrated churn and nearly all of them under full churn,
+// where a rescan is as cheap and the publisher's cost gate evicts
+// instead.
 //
 // Two structural facts keep the patch loop off the memory wall:
 //
-//   - The touched-establishment spans (removed suffix, appended tail)
-//     are validated and resolved once per advance into a PatchFrame,
-//     shared by every maintained view, so N cached marginals pay the
-//     index walk once, not N times.
+//   - The touched-establishment spans (kept prefix, removed suffix,
+//     appended tail) are validated and resolved once per advance into a
+//     PatchFrame, shared by every maintained view, so N cached marginals
+//     pay the index walk once, not N times.
 //
 //   - Attributes that are constant within every establishment group —
 //     place, industry, ownership in a LODES snapshot — are detected at
 //     view build time and factored out of the per-row key computation:
-//     a group's static key part is cached per establishment, removed
-//     tail rows need no column loads for those attributes at all, and
-//     appended rows only a verification load. A marginal over
-//     establishment attributes alone patches in O(1) per touched group.
-//     The factoring is safe on arbitrary data: appended rows are
-//     verified against the group's cached values, and a violating group
-//     is demoted to the generic all-attribute path (mixed), never
-//     answered wrong.
+//     the frame records each span's group-constant codes once per
+//     advance, so a span's static key part costs no row reads, and rows
+//     load only the remaining (dynamic) attributes. A marginal over
+//     establishment attributes alone is flat: each group lands whole in
+//     one cell, so a span patches in O(1) from its row counts. The
+//     factoring is safe on arbitrary data: appended rows are verified
+//     against the group's base values, and a violating span demotes the
+//     whole view to the all-attribute path — slower, never wrong.
 //
 // The subtle statistic is the per-cell top-two entity contribution
 // (x_v and the runner-up). The view tracks each cell's top-K
@@ -48,21 +50,15 @@ import (
 // and reinserting their new values, the patched top-two is exact
 // whenever the candidate runner-up clears the floor. When it does not
 // (the cached second place is dethroned and no tracked successor
-// remains), the cell falls back to a targeted rescan: one restricted
-// pass over the successor index that folds only the fallback cells.
+// remains), the cell falls back to a targeted rescan: one pass over the
+// successor index that folds only the fallback cells, skipping every
+// group whose static key part reaches none of them.
 
 // viewTopK is the per-cell tracked-contributor depth. Cells with at
 // most viewTopK contributing establishments are tracked exhaustively
-// (complete, floor 0) and never fall back; deeper cells keep the K
-// largest plus the floor bound.
+// (floor 0) and never fall back; deeper cells keep the K largest plus
+// the floor bound.
 const viewTopK = 8
-
-// viewCell is one (cell, contribution) entry of an establishment's
-// sorted contribution list.
-type viewCell struct {
-	cell  int32
-	count int32
-}
 
 // topEntry is one tracked contributor of a cell.
 type topEntry struct {
@@ -70,7 +66,7 @@ type topEntry struct {
 	val int32
 }
 
-// PatchStats reports one Apply's work profile.
+// PatchStats reports one ApplyFrame's work profile.
 type PatchStats struct {
 	// TouchedEntities is the number of delta-touched establishments
 	// examined (including births and deaths).
@@ -87,29 +83,38 @@ type PatchStats struct {
 }
 
 // PatchFrame is one advance's validated patch descriptor: per touched
-// establishment, the removed base suffix and appended successor tail
-// resolved to index row spans. It is built once per advance
-// (NewPatchFrame) and shared by every maintained view's ApplyFrame, so
-// the touched-set walk and its validation are paid once, not once per
-// cached marginal.
+// establishment, the kept base prefix, the removed base suffix and the
+// appended successor tail resolved to index row spans. It is built once
+// per advance (NewPatchFrame) and shared by every maintained view's
+// ApplyFrame, so the touched-set walk and its validation are paid once,
+// not once per cached marginal.
 type PatchFrame struct {
 	base, next *Index
 	spans      []patchSpan
 	// verified is the set of schema attributes whose group-constancy has
-	// been folded into the spans' constMask bits. Verification is lazy —
-	// ApplyFrame demands exactly the attributes its view factored out as
-	// static — so attributes no maintained view treats as group-constant
-	// (the worker attributes, in practice) are never re-read at all. A
-	// frame is therefore mutable and NOT safe for concurrent ApplyFrame
-	// calls; the publisher serializes them under its advance lock.
+	// been folded into the spans' constMask bits and whose group codes
+	// are recorded in codes. Verification is lazy — ApplyFrame demands
+	// exactly the attributes its view factored out as static — so
+	// attributes no maintained view treats as group-constant (the worker
+	// attributes, in practice) are never re-read at all. A frame is
+	// therefore mutable and NOT safe for concurrent ApplyFrame calls; the
+	// publisher serializes them under its advance lock.
 	verified uint32
+	// codes[a][i] is verified schema attribute a's value on span i's
+	// group: the base group's first row, or a newborn's first appended
+	// row.
+	codes [][]uint16
+	// changes is the change-set scratch every ApplyFrame reuses. It
+	// grows with the touched (establishment, cell) pairs, so it lives
+	// with the advance, not in any view.
+	changes []viewChange
 }
 
 // patchSpan is one touched establishment's row movement.
 type patchSpan struct {
 	ent              int32
 	newEnt           bool   // no group in base (birth, or a re-staffed empty establishment)
-	bRef             int32  // first row of the base group (the group-constant reference), -1 when newEnt
+	bRef             int32  // first row of the base group (the kept prefix is [bRef, bTailLo)), -1 when newEnt
 	bTailLo, bTailHi int32  // removed base rows [lo, hi)
 	nTailLo, nTailHi int32  // appended successor rows [lo, hi)
 	constMask        uint32 // schema attrs constant across the appended tail (and matching the base group)
@@ -171,38 +176,41 @@ func NewPatchFrame(base, next *Index, touched, kept []int32) (*PatchFrame, error
 
 // ensureVerified verifies group-constancy of the requested schema
 // attributes over each span's appended tail, once per attribute for
-// all views sharing the frame: bit a of a span's constMask reports
-// that attribute a is constant across the appended rows and (for an
-// existing group) matches the group's base value. ApplyFrame requests
-// exactly its view's static set, so each attribute's tail columns are
-// read at most once per advance no matter how many views share the
-// frame — and attributes no view factored out are never read.
+// all views sharing the frame, and records each span's group code for
+// them: bit a of a span's constMask reports that attribute a is
+// constant across the appended rows and (for an existing group) matches
+// the group's base value. ApplyFrame requests exactly its view's static
+// set, so each attribute's tail columns are read at most once per
+// advance no matter how many views share the frame — and attributes no
+// view factored out are never read.
 func (f *PatchFrame) ensureVerified(mask uint32) {
 	mask &^= f.verified
 	if mask == 0 {
 		return
 	}
 	nAttrs := f.base.t.Schema().NumAttrs()
+	if f.codes == nil {
+		f.codes = make([][]uint16, nAttrs)
+	}
 	for a := 0; a < nAttrs; a++ {
 		bit := uint32(1) << uint(a)
 		if mask&bit == 0 {
 			continue
 		}
 		bcol, ncol := f.base.col(a), f.next.col(a)
+		codes := make([]uint16, len(f.spans))
 		for si := range f.spans {
 			sp := &f.spans[si]
 			lo, hi := sp.nTailLo, sp.nTailHi
-			if lo >= hi {
-				sp.constMask |= bit
-				continue
-			}
 			var ref uint16
-			if sp.newEnt {
+			switch {
+			case !sp.newEnt:
+				ref = bcol[sp.bRef]
+			case lo < hi:
 				ref = ncol[lo]
 				lo++
-			} else {
-				ref = bcol[sp.bRef]
 			}
+			codes[si] = ref
 			ok := true
 			for p := lo; p < hi; p++ {
 				if ncol[p] != ref {
@@ -214,87 +222,70 @@ func (f *PatchFrame) ensureVerified(mask uint32) {
 				sp.constMask |= bit
 			}
 		}
+		f.codes[a] = codes
 	}
 	f.verified |= mask
 }
 
 // MarginalView is a maintainable materialization of one query's truth:
-// the marginal itself plus the per-establishment contribution lists and
-// per-cell top-K contributor tracking that let Apply patch the truth
-// under a quarterly delta without rescanning the table.
+// the marginal itself plus the per-cell top-K contributor tracking that
+// lets ApplyFrame patch the truth under a quarterly delta without
+// rescanning the table. Its state is O(cells): nothing is kept per
+// establishment.
 //
-// A view is single-writer: Apply (and the scratch it reuses) must be
-// externally serialized — the publisher calls it under its advance
+// A view is single-writer: ApplyFrame (and the scratch it reuses) must
+// be externally serialized — the publisher calls it under its advance
 // lock. The Marginal it returns is freshly allocated and immutable;
 // readers of a previously returned Marginal are never affected by later
-// Applies. If Apply returns an error the view is inconsistent and must
-// be discarded.
+// applies. If ApplyFrame returns an error the view is inconsistent and
+// must be discarded.
 type MarginalView struct {
 	q *Query
 	m *Marginal
 
-	// ents lists the establishments the view has ever tracked,
-	// ascending — a superset of the index's group entities (an
-	// establishment whose rows all churn away stays as a tombstone with
-	// an empty list, so the directory is append-mostly and never
-	// rebuilt). cellsOf[i] is ents[i]'s contribution list, sorted by
-	// cell; owned[i] records whether this view may mutate it in place
-	// (false after Clone until first write — lists are copy-on-write so
-	// clones stay independent). In a flat view the directory holds only
-	// the mixed-demoted establishments; everyone else lives in the flat
-	// arrays below.
-	ents    []int32
-	cellsOf [][]viewCell
-	owned   []bool
-
-	// Flat all-static specialization. When every query attribute is
+	// flat marks the all-static specialization: every query attribute is
 	// group-constant (dynIdx empty — every marginal over establishment
-	// attributes alone), each establishment contributes to exactly one
-	// cell, so the directory degenerates to two dense arrays indexed by
-	// establishment ID: flatCell[e] is e's cell, flatCnt[e] its
-	// contribution (0 = no rows). A span then patches in O(1) with no
-	// list walk, no lookup and no copy-on-write. An establishment whose
-	// appended rows violate constancy is moved into the sparse directory
-	// above as mixed (flatCnt zeroed) and handled by the generic path
-	// from then on.
-	flat     bool
-	flatCnt  []int32
-	flatCell []int32
+	// attributes alone), so each establishment contributes its whole
+	// group to the one cell its static key names, and a span patches
+	// that cell in O(1) from its row counts.
+	flat bool
 
 	// Group-constant attribute factoring. weights[j] is query attr j's
 	// mixed-radix weight (cell key = Σ col[j][row]·weights[j]).
 	// staticIdx lists the attr positions found constant within every
-	// group at build time, dynIdx the rest, allIdx every position.
-	// staticOf[i] caches ents[i]'s static key part; mixed[i] marks a
-	// group whose appended rows violated constancy (demoted to the
-	// all-attribute path — never answered wrong, just slower).
+	// group at build time, dynIdx the rest. A span that breaks a static
+	// attribute's constancy demotes the view (demote): nothing stays
+	// static, and every row loads every attribute from then on.
 	weights    []int32
 	staticIdx  []int32
 	dynIdx     []int32
-	allIdx     []int32
 	staticMask uint32 // schema-attr bits of staticIdx, checked against a span's constMask
-	staticOf   []int32
-	mixed      []bool
 
 	// top is the flattened per-cell tracked-contributor window
 	// (top[c*viewTopK : c*viewTopK+topLen[c]]), ordered by value
 	// descending then entity ascending. floor[c] bounds every unlisted
-	// contributor; complete[c] means the window holds every contributor.
-	top      []topEntry
-	topLen   []uint8
-	complete []bool
-	floor    []int32
+	// contributor.
+	top    []topEntry
+	topLen []uint8
+	floor  []int32
 
 	// Reusable scratch (see the single-writer contract above).
-	outCnt   []int32 // per-cell removed-tail row counts of the entity in hand
-	inCnt    []int32 // per-cell added-tail row counts
+	outCnt   []int32 // per-cell removed-suffix row counts of the span in hand; the group fold's scatter array
+	inCnt    []int32 // per-cell appended-tail row counts
+	preCnt   []int32 // per-cell kept-prefix row counts at the cells the span changed
 	cellHead []int32 // per-cell head into chain, -1 when cell unseen
-	fbMark   []bool  // fallback-cell membership for the targeted rescan
+	fbMark   []uint8 // per-cell fbCell / fbStatic marks
 	keysBuf  []int32
-	diffBuf  []viewCell
-	chgBuf   []viewChange
 	fbBuf    []int32
 }
+
+// fbMark values. fbCell marks a cell the span in hand changed, or a
+// cell foldGroups rebuilds; fbStatic marks a static key part some
+// rebuilt cell carries. foldMarked relies on fbCell being 1.
+const (
+	fbCell uint8 = 1 << iota
+	fbStatic
+)
 
 // viewChange is one changed (establishment, cell) contribution.
 type viewChange struct {
@@ -385,26 +376,14 @@ func NewMarginalView(ix *Index, q *Query) (*MarginalView, error) {
 	size := q.size
 	nAttrs := len(q.attrs)
 	v := &MarginalView{
-		q:        q,
-		m:        newEmptyMarginal(q),
-		ents:     make([]int32, 0, ng),
-		cellsOf:  make([][]viewCell, 0, ng),
-		owned:    make([]bool, 0, ng),
-		staticOf: make([]int32, 0, ng),
-		mixed:    make([]bool, 0, ng),
-		weights:  make([]int32, nAttrs),
-		top:      make([]topEntry, size*viewTopK),
-		topLen:   make([]uint8, size),
-		complete: make([]bool, size),
-		floor:    make([]int32, size),
-		outCnt:   make([]int32, size),
-		inCnt:    make([]int32, size),
-		cellHead: make([]int32, size),
-		fbMark:   make([]bool, size),
+		q:       q,
+		m:       newEmptyMarginal(q),
+		weights: make([]int32, nAttrs),
+		top:     make([]topEntry, size*viewTopK),
+		topLen:  make([]uint8, size),
+		floor:   make([]int32, size),
 	}
-	for i := range v.cellHead {
-		v.cellHead[i] = -1
-	}
+	v.initScratch()
 	acc := int32(1)
 	for j := nAttrs - 1; j >= 0; j-- {
 		v.weights[j] = acc
@@ -416,87 +395,39 @@ func NewMarginalView(ix *Index, q *Query) (*MarginalView, error) {
 	// bailing at the first group whose rows disagree. On LODES data the
 	// establishment attributes (place, industry, ownership) pass; worker
 	// attributes bail within the first few groups.
-	isStatic := make([]bool, nAttrs)
 	for j := 0; j < nAttrs; j++ {
-		isStatic[j] = groupConstant(cols[j], ix, ng)
-	}
-	for j := 0; j < nAttrs; j++ {
-		v.allIdx = append(v.allIdx, int32(j))
-		if isStatic[j] {
+		if groupConstant(cols[j], ix, ng) {
 			v.staticIdx = append(v.staticIdx, int32(j))
 			v.staticMask |= uint32(1) << uint(q.attrs[j])
 		} else {
 			v.dynIdx = append(v.dynIdx, int32(j))
 		}
 	}
-
 	v.flat = len(v.dynIdx) == 0
-	if v.flat {
-		// Every group folds into the one cell named by its static key:
-		// fill the dense arrays directly, no per-establishment lists.
-		maxEnt := int32(0)
-		if ng > 0 {
-			maxEnt = ix.entities[ng-1] + 1
-		}
-		v.flatCnt = make([]int32, maxEnt)
-		v.flatCell = make([]int32, maxEnt)
-		for g := 0; g < ng; g++ {
-			lo, hi := int(ix.starts[g]), int(ix.starts[g+1])
-			if lo >= hi {
-				continue
-			}
-			e := ix.entities[g]
-			sv := int32(0)
-			for _, j := range v.staticIdx {
-				sv += int32(cols[j][lo]) * v.weights[j]
-			}
-			cnt := int32(hi - lo)
-			v.flatCnt[e] = cnt
-			v.flatCell[e] = sv
-			v.m.Counts[sv] += int64(cnt)
-			v.m.EntityCount[sv]++
-			v.insertTop(int(sv), e, cnt)
-		}
-	} else {
-		cells := make([]int32, size)
-		touched := make([]int, max(ix.maxGroup, 1))
-		for g := 0; g < ng; g++ {
-			lo, hi := int(ix.starts[g]), int(ix.starts[g+1])
-			e := ix.entities[g]
-			nt := scatterGroup(cells, touched, cols, q.radices, lo, hi)
-			list := make([]viewCell, nt)
-			for i, key := range touched[:nt] {
-				c := cells[key]
-				cells[key] = 0
-				list[i] = viewCell{cell: int32(key), count: c}
-				v.m.Counts[key] += int64(c)
-				v.m.EntityCount[key]++
-				v.insertTop(key, e, c)
-			}
-			sortViewCells(list)
-			sv := int32(0)
-			for _, j := range v.staticIdx {
-				sv += int32(cols[j][lo]) * v.weights[j]
-			}
-			v.ents = append(v.ents, e)
-			v.cellsOf = append(v.cellsOf, list)
-			v.owned = append(v.owned, true)
-			v.staticOf = append(v.staticOf, sv)
-			v.mixed = append(v.mixed, false)
-		}
+
+	// Build is the group fold with every cell and static key marked.
+	for c := range v.fbMark {
+		v.fbMark[c] = fbCell | fbStatic
 	}
-	for c := 0; c < size; c++ {
-		ln := int(v.topLen[c])
-		base := c * viewTopK
-		if ln > 0 {
-			v.m.MaxEntityContribution[c] = int64(v.top[base].val)
-		}
-		if ln > 1 {
-			v.m.SecondEntityContribution[c] = int64(v.top[base+1].val)
-		}
-		v.complete[c] = int64(ln) == v.m.EntityCount[c]
+	v.foldGroups(ix, cols, v.m)
+	for c := range v.fbMark {
+		v.fbMark[c] = 0
+		v.settle(v.m, c)
 	}
 	return v, nil
+}
+
+// initScratch allocates the view's per-cell scratch.
+func (v *MarginalView) initScratch() {
+	size := v.q.size
+	v.outCnt = make([]int32, size)
+	v.inCnt = make([]int32, size)
+	v.preCnt = make([]int32, size)
+	v.cellHead = make([]int32, size)
+	for i := range v.cellHead {
+		v.cellHead[i] = -1
+	}
+	v.fbMark = make([]uint8, size)
 }
 
 // groupConstant reports whether the column is constant within every
@@ -517,143 +448,46 @@ func groupConstant(col []uint16, ix *Index, ng int) bool {
 	return true
 }
 
-// sortViewCells sorts a contribution list by cell (insertion sort: the
-// lists are short — one entry per distinct cell the establishment's
-// rows land in).
-func sortViewCells(list []viewCell) {
-	for i := 1; i < len(list); i++ {
-		x := list[i]
-		j := i - 1
-		for j >= 0 && list[j].cell > x.cell {
-			list[j+1] = list[j]
-			j--
-		}
-		list[j+1] = x
-	}
-}
-
-// lookupCellIdx returns the cell's position in the sorted list, or -1.
-// Typical lists are a handful of entries, where the early-exit linear
-// scan beats binary search's mispredicted branches; long lists (mixed
-// groups, large establishments) fall back to bisection.
-func lookupCellIdx(list []viewCell, cell int32) int {
-	if len(list) <= 16 {
-		for i := range list {
-			if c := list[i].cell; c >= cell {
-				if c == cell {
-					return i
-				}
-				return -1
-			}
-		}
-		return -1
-	}
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if list[mid].cell < cell {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo].cell == cell {
-		return lo
-	}
-	return -1
-}
-
-// lookupCell returns the entity's contribution to the cell (0 when
-// absent) from its sorted list.
-func lookupCell(list []viewCell, cell int32) int32 {
-	if i := lookupCellIdx(list, cell); i >= 0 {
-		return list[i].count
-	}
-	return 0
-}
-
-// Flat reports whether the view runs the dense all-static
-// specialization: every query attribute is establishment-constant, so
-// applying a span is O(1) regardless of how many rows moved. Flat
+// Flat reports whether the view runs the all-static specialization:
+// every query attribute is establishment-constant, so applying a span
+// is O(1) regardless of how many rows moved. Flat
 // views stay worth patching at any churn level; the publisher's
 // patch-versus-evict cost gate consults this.
 func (v *MarginalView) Flat() bool { return v.flat }
 
+// demote turns the static factoring off for good: a span broke a
+// static attribute's constancy, so no attribute can be trusted to be
+// group-constant any more. A flat view becomes a generic one.
+func (v *MarginalView) demote() {
+	v.flat = false
+	v.staticIdx = nil
+	v.staticMask = 0
+	v.dynIdx = nil
+	for j := range v.q.attrs {
+		v.dynIdx = append(v.dynIdx, int32(j))
+	}
+}
+
 // Clone returns a fully independent view at the same state — the
-// Marginal pointer is shared (it is immutable), everything else
-// including the per-establishment contribution lists is copied.
-// Benchmarks and the differential suites use it to reset a view
-// between chain replays; the publisher clones nothing.
+// Marginal pointer is shared (it is immutable), the per-cell windows
+// are copied and the scratch is fresh. Benchmarks and the differential
+// suites use it to reset a view between chain replays; the publisher
+// clones nothing.
 func (v *MarginalView) Clone() *MarginalView {
-	size := v.q.size
 	c := &MarginalView{
 		q:          v.q,
 		m:          v.m,
-		ents:       append([]int32(nil), v.ents...),
-		cellsOf:    make([][]viewCell, len(v.cellsOf)),
-		owned:      make([]bool, len(v.owned)),
-		staticOf:   append([]int32(nil), v.staticOf...),
-		mixed:      append([]bool(nil), v.mixed...),
 		flat:       v.flat,
-		flatCnt:    append([]int32(nil), v.flatCnt...),
-		flatCell:   append([]int32(nil), v.flatCell...),
 		weights:    v.weights,
 		staticIdx:  v.staticIdx,
-		staticMask: v.staticMask,
 		dynIdx:     v.dynIdx,
-		allIdx:     v.allIdx,
+		staticMask: v.staticMask,
 		top:        append([]topEntry(nil), v.top...),
 		topLen:     append([]uint8(nil), v.topLen...),
-		complete:   append([]bool(nil), v.complete...),
 		floor:      append([]int32(nil), v.floor...),
-		outCnt:     make([]int32, size),
-		inCnt:      make([]int32, size),
-		cellHead:   make([]int32, size),
-		fbMark:     make([]bool, size),
-		diffBuf:    make([]viewCell, 0, cap(v.diffBuf)),
-		chgBuf:     make([]viewChange, 0, cap(v.chgBuf)),
 	}
-	// Deep-copy the contribution lists so the clone is fully independent
-	// of (and as warm as) the original: a clone exists to replay a chain
-	// the original already absorbed, and sharing lists copy-on-write
-	// would bill the replay for allocations a long-lived view pays only
-	// at birth. One backing array holds every list, full-sliced so a
-	// list replacement or growth can never bleed into its neighbor.
-	total := 0
-	for _, l := range v.cellsOf {
-		total += len(l)
-	}
-	if total > 0 {
-		backing := make([]viewCell, 0, total)
-		for i, l := range v.cellsOf {
-			if len(l) == 0 {
-				continue
-			}
-			lo := len(backing)
-			backing = append(backing, l...)
-			c.cellsOf[i] = backing[lo:len(backing):len(backing)]
-			c.owned[i] = true
-		}
-	}
-	for i := range c.cellHead {
-		c.cellHead[i] = -1
-	}
+	c.initScratch()
 	return c
-}
-
-// Apply patches the view's truth from the base epoch to the successor.
-// It is NewPatchFrame followed by ApplyFrame; callers maintaining
-// several views over the same advance should build the frame once and
-// share it.
-func (v *MarginalView) Apply(base, next *Index, touched, kept []int32) (*Marginal, PatchStats, error) {
-	if len(touched) == 0 && len(kept) == 0 {
-		return v.m, PatchStats{}, nil
-	}
-	f, err := NewPatchFrame(base, next, touched, kept)
-	if err != nil {
-		return nil, PatchStats{}, err
-	}
-	return v.ApplyFrame(f)
 }
 
 // ApplyFrame patches the view's truth from the frame's base epoch to
@@ -668,29 +502,33 @@ func (v *MarginalView) ApplyFrame(f *PatchFrame) (*Marginal, PatchStats, error) 
 	var st PatchStats
 	q := v.q
 	if f.base.t.Schema() != q.schema || f.next.t.Schema() != q.schema {
-		return nil, st, fmt.Errorf("table: Apply across a different schema")
+		return nil, st, fmt.Errorf("table: ApplyFrame across a different schema")
 	}
 	st.TouchedEntities = len(f.spans)
 	if len(f.spans) == 0 {
 		return v.m, st, nil
 	}
+	f.ensureVerified(v.staticMask)
 	baseCols := queryCols(f.base, q)
 	nextCols := queryCols(f.next, q)
-	if v.staticMask != 0 {
-		f.ensureVerified(v.staticMask)
-	}
 
-	var err error
-	changes := v.chgBuf[:0]
-	if v.flat {
-		changes, err = v.applyFlat(f, baseCols, nextCols, changes)
-	} else {
-		changes, err = v.applyDir(f, baseCols, nextCols, changes)
+	changes := f.changes[:0]
+	for si := range f.spans {
+		sp := &f.spans[si]
+		if sp.constMask&v.staticMask != v.staticMask {
+			v.demote()
+		}
+		sv := int32(0)
+		for _, j := range v.staticIdx {
+			sv += int32(f.codes[q.attrs[j]][si]) * v.weights[j]
+		}
+		if v.flat {
+			changes = flatSpan(sp, sv, changes)
+		} else {
+			changes = v.foldSpan(sp, sv, baseCols, nextCols, changes)
+		}
 	}
-	if err != nil {
-		return nil, st, err
-	}
-	v.chgBuf = changes[:0]
+	f.changes = changes[:0]
 	st.ChangedPairs = len(changes)
 	if len(changes) == 0 {
 		return v.m, st, nil
@@ -725,264 +563,102 @@ func (v *MarginalView) ApplyFrame(f *PatchFrame) (*Marginal, PatchStats, error) 
 	v.fbBuf = fallback[:0]
 	if len(fallback) > 0 {
 		st.RescanCells = len(fallback)
-		v.rescanCells(fallback, newM)
+		v.rescanCells(fallback, newM, f.next, nextCols)
 	}
 	v.m = newM
 	return newM, st, nil
 }
 
-// applyFlat is the span pass of a flat (all-static) view: each touched
-// establishment patches its one cell in O(1) off the dense arrays. The
-// sparse directory holds only mixed-demoted establishments; a span
-// violating the view's static set moves its establishment there before
-// taking the generic path.
-func (v *MarginalView) applyFlat(f *PatchFrame, baseCols, nextCols [][]uint16, changes []viewChange) ([]viewChange, error) {
-	// Grow the dense arrays to cover newborn IDs (spans are ascending,
-	// so the last one bounds them all).
-	if n := len(f.spans); n > 0 {
-		if need := int(f.spans[n-1].ent) + 1 - len(v.flatCnt); need > 0 {
-			v.flatCnt = append(v.flatCnt, make([]int32, need)...)
-			v.flatCell = append(v.flatCell, make([]int32, need)...)
-		}
+// flatSpan is the span pass of a flat view: the establishment's whole
+// base group leaves its one cell and its whole successor group joins
+// it, so the change is the group lengths, read off the span in O(1).
+func flatSpan(sp *patchSpan, sv int32, changes []viewChange) []viewChange {
+	out := sp.bTailHi - sp.bTailLo
+	in := sp.nTailHi - sp.nTailLo
+	if out == in {
+		return changes
 	}
-	vi := 0 // merge-walk over the mixed-only directory
-	for si := range f.spans {
-		sp := &f.spans[si]
-		e := sp.ent
-		for vi < len(v.ents) && v.ents[vi] < e {
-			vi++
-		}
-		if vi < len(v.ents) && v.ents[vi] == e {
-			var err error
-			if changes, err = v.patchMixedSpan(sp, baseCols, nextCols, vi, changes); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		o := v.flatCnt[e]
-		if !sp.newEnt && o == 0 {
-			return nil, fmt.Errorf("table: Apply view out of sync with base index at entity %d", e)
-		}
-		if sp.newEnt && o != 0 {
-			return nil, fmt.Errorf("table: Apply view has rows for entity %d absent from the base index", e)
-		}
-		if sp.constMask&v.staticMask != v.staticMask {
-			// Constancy violated: demote to the sparse directory, then
-			// handle generically from now on.
-			var list []viewCell
-			if o > 0 {
-				list = []viewCell{{cell: v.flatCell[e], count: o}}
-				v.flatCnt[e] = 0
-			}
-			v.insertEnt(vi, e, list, 0, true)
-			var err error
-			if changes, err = v.patchMixedSpan(sp, baseCols, nextCols, vi, changes); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out := sp.bTailHi - sp.bTailLo
-		in := sp.nTailHi - sp.nTailLo
-		if out == in {
-			continue
-		}
-		sv := v.flatCell[e]
-		if o == 0 {
-			if in == 0 {
-				continue
-			}
-			sv = 0
-			for _, j := range v.staticIdx {
-				sv += int32(nextCols[j][sp.nTailLo]) * v.weights[j]
-			}
-		}
-		n := o - out + in
-		if n < 0 {
-			return nil, fmt.Errorf("table: Apply drives entity %d cell %d contribution negative (%d - %d + %d)", e, sv, o, out, in)
-		}
-		v.flatCnt[e] = n
-		v.flatCell[e] = sv
-		changes = append(changes, viewChange{cell: sv, ent: e, o: o, n: n})
+	o := int32(0)
+	if !sp.newEnt {
+		o = sp.bTailHi - sp.bRef
 	}
-	return changes, nil
+	return append(changes, viewChange{cell: sv, ent: sp.ent, o: o, n: o - out + in})
 }
 
-// patchMixedSpan handles one mixed-demoted establishment of a flat
-// view: the generic all-attribute fold over its removed and appended
-// tails, with its contribution list kept in the sparse directory.
-func (v *MarginalView) patchMixedSpan(sp *patchSpan, baseCols, nextCols [][]uint16, vi int, changes []viewChange) ([]viewChange, error) {
-	oldList := v.cellsOf[vi]
-	if !sp.newEnt && len(oldList) == 0 {
-		return nil, fmt.Errorf("table: Apply view out of sync with base index at entity %d", sp.ent)
-	}
-	if sp.newEnt && len(oldList) > 0 {
-		return nil, fmt.Errorf("table: Apply view has rows for entity %d absent from the base index", sp.ent)
-	}
-	keys := v.keysBuf[:0]
-	keys = v.foldTail(baseCols, v.allIdx, int(sp.bTailLo), int(sp.bTailHi), 0, v.outCnt, v.inCnt, keys)
-	keys = v.foldTail(nextCols, v.allIdx, int(sp.nTailLo), int(sp.nTailHi), 0, v.inCnt, v.outCnt, keys)
+// foldSpan is the span pass of a view with dynamic attributes: the
+// removed suffix folds into outCnt and the appended tail into inCnt,
+// keyed by the dynamic columns plus the span's static key part. Only if
+// some cell's counts differ does the kept prefix fold into preCnt, and
+// only at those cells; the establishment's old and new totals there are
+// pre + out and pre + in. A newborn has no prefix and a death an empty
+// one.
+func (v *MarginalView) foldSpan(sp *patchSpan, sv int32, baseCols, nextCols [][]uint16, changes []viewChange) []viewChange {
+	keys := v.foldTail(baseCols, int(sp.bTailLo), int(sp.bTailHi), sv, v.outCnt, v.inCnt, v.keysBuf[:0])
+	keys = v.foldTail(nextCols, int(sp.nTailLo), int(sp.nTailHi), sv, v.inCnt, v.outCnt, keys)
 	v.keysBuf = keys
-	diffs := v.diffBuf[:0]
+	changed := false
+	for _, key := range keys {
+		if v.outCnt[key] != v.inCnt[key] {
+			v.fbMark[key] = fbCell
+			changed = true
+		}
+	}
+	if changed && !sp.newEnt {
+		v.foldMarked(baseCols, int(sp.bRef), int(sp.bTailLo), sv)
+	}
 	for _, key := range keys {
 		out, in := v.outCnt[key], v.inCnt[key]
 		v.outCnt[key], v.inCnt[key] = 0, 0
-		if out == in {
-			continue
+		if out != in {
+			p := v.preCnt[key]
+			v.preCnt[key], v.fbMark[key] = 0, 0
+			changes = append(changes, viewChange{cell: key, ent: sp.ent, o: p + out, n: p + in})
 		}
-		o := lookupCell(oldList, key)
-		n := o - out + in
-		if n < 0 {
-			return nil, fmt.Errorf("table: Apply drives entity %d cell %d contribution negative (%d - %d + %d)", sp.ent, key, o, out, in)
-		}
-		changes = append(changes, viewChange{cell: key, ent: sp.ent, o: o, n: n})
-		diffs = append(diffs, viewCell{cell: key, count: n})
 	}
-	v.diffBuf = diffs
-	if len(diffs) > 0 {
-		sortViewCells(diffs)
-		v.cellsOf[vi] = mergeCellList(oldList, diffs)
-		v.owned[vi] = true
-	}
-	return changes, nil
+	return changes
 }
 
-// applyDir is the span pass of a view with dynamic attributes: the full
-// directory of per-establishment contribution lists, with the static
-// key part factored out of the per-row fold.
-func (v *MarginalView) applyDir(f *PatchFrame, baseCols, nextCols [][]uint16, changes []viewChange) ([]viewChange, error) {
-	vi := 0
-	for si := range f.spans {
-		sp := &f.spans[si]
-		e := sp.ent
-		for vi < len(v.ents) && v.ents[vi] < e {
-			vi++
+// foldMarked counts the rows [lo, hi) into preCnt at the fbCell-marked
+// cells only, loading the dynamic attributes. fbCell is 1, so adding
+// the mark counts exactly the marked cells' rows without a branch.
+func (v *MarginalView) foldMarked(cols [][]uint16, lo, hi int, sv int32) {
+	idxs, mark, pre := v.dynIdx, v.fbMark, v.preCnt
+	switch len(idxs) {
+	case 1:
+		w0 := v.weights[idxs[0]]
+		for _, c0 := range cols[idxs[0]][lo:hi] {
+			key := sv + int32(c0)*w0
+			pre[key] += int32(mark[key])
 		}
-		viewHas := vi < len(v.ents) && v.ents[vi] == e
-		var oldList []viewCell
-		if viewHas {
-			oldList = v.cellsOf[vi]
+	case 2:
+		w0, w1 := v.weights[idxs[0]], v.weights[idxs[1]]
+		c0, c1 := cols[idxs[0]][lo:hi], cols[idxs[1]][lo:hi]
+		for i := range c0 {
+			key := sv + int32(c0[i])*w0 + int32(c1[i])*w1
+			pre[key] += int32(mark[key])
 		}
-		if !sp.newEnt && (!viewHas || len(oldList) == 0) {
-			return nil, fmt.Errorf("table: Apply view out of sync with base index at entity %d", e)
-		}
-		if sp.newEnt && len(oldList) > 0 {
-			return nil, fmt.Errorf("table: Apply view has rows for entity %d absent from the base index", e)
-		}
-
-		// Death: the whole group leaves and nothing replaces it, so the
-		// diff is exactly the negated contribution list — no column reads
-		// at all, and the slot becomes a tombstone.
-		if !sp.newEnt && sp.bTailLo == sp.bRef && sp.nTailLo >= sp.nTailHi {
-			for _, vc := range oldList {
-				changes = append(changes, viewChange{cell: vc.cell, ent: e, o: vc.count, n: 0})
+	default:
+		for p := lo; p < hi; p++ {
+			key := sv
+			for _, j := range idxs {
+				key += int32(cols[j][p]) * v.weights[j]
 			}
-			v.cellsOf[vi] = nil
-			v.owned[vi] = true
-			continue
-		}
-
-		// Resolve the entity's static key part. The frame verified
-		// per-attribute constancy over the appended tail (ensureVerified);
-		// a span violating any of this view's static attributes demotes
-		// the group to the generic all-attribute path.
-		sv := int32(0)
-		isMixed := viewHas && v.mixed[vi]
-		freshStatic := false
-		if len(v.staticIdx) > 0 && !isMixed {
-			if sp.constMask&v.staticMask != v.staticMask {
-				isMixed = true
-			} else if !sp.newEnt {
-				sv = v.staticOf[vi]
-			} else if sp.nTailLo < sp.nTailHi {
-				freshStatic = true
-				for _, j := range v.staticIdx {
-					sv += int32(nextCols[j][sp.nTailLo]) * v.weights[j]
-				}
-			}
-		}
-
-		// Tail diffs: contributions leaving with the removed suffix,
-		// arriving with the appended rows.
-		idxs := v.dynIdx
-		if isMixed {
-			idxs = v.allIdx
-			sv = 0
-		}
-		keys := v.keysBuf[:0]
-		keys = v.foldTail(baseCols, idxs, int(sp.bTailLo), int(sp.bTailHi), sv, v.outCnt, v.inCnt, keys)
-		keys = v.foldTail(nextCols, idxs, int(sp.nTailLo), int(sp.nTailHi), sv, v.inCnt, v.outCnt, keys)
-		v.keysBuf = keys
-
-		diffs := v.diffBuf[:0]
-		structural := false
-		for _, key := range keys {
-			out, in := v.outCnt[key], v.inCnt[key]
-			v.outCnt[key], v.inCnt[key] = 0, 0
-			if out == in {
-				continue
-			}
-			o := lookupCell(oldList, key)
-			n := o - out + in
-			if n < 0 {
-				return nil, fmt.Errorf("table: Apply drives entity %d cell %d contribution negative (%d - %d + %d)", e, key, o, out, in)
-			}
-			if o == 0 || n == 0 {
-				structural = true
-			}
-			changes = append(changes, viewChange{cell: key, ent: e, o: o, n: n})
-			diffs = append(diffs, viewCell{cell: key, count: n})
-		}
-		v.diffBuf = diffs
-		if len(diffs) == 0 {
-			continue
-		}
-
-		// Directory update: in place when only counts changed, a fresh
-		// merged list when the cell set changed (copy-on-write after
-		// Clone), an insertion for a first-seen establishment. A group
-		// whose rows all leave keeps its ents slot as a tombstone with an
-		// empty list.
-		switch {
-		case !viewHas:
-			sortViewCells(diffs)
-			v.insertEnt(vi, e, mergeCellList(nil, diffs), sv, isMixed)
-		case structural:
-			sortViewCells(diffs)
-			v.cellsOf[vi] = mergeCellList(oldList, diffs)
-			v.owned[vi] = true
-			if freshStatic {
-				v.staticOf[vi] = sv
-			}
-			if isMixed {
-				v.mixed[vi] = true
-			}
-		default:
-			if !v.owned[vi] {
-				v.cellsOf[vi] = append([]viewCell(nil), oldList...)
-				v.owned[vi] = true
-			}
-			list := v.cellsOf[vi]
-			for _, d := range diffs {
-				list[lookupCellIdx(list, d.cell)].count = d.count
-			}
-			if isMixed {
-				v.mixed[vi] = true
-			}
+			pre[key] += int32(mark[key])
 		}
 	}
-	return changes, nil
 }
 
 // foldTail accumulates the cell keys of rows [lo, hi) into tgt,
 // appending each key's first touch (in either scratch array) to keys.
-// Only the idxs attributes are loaded per row; sv carries the
-// group-constant part of the key. The idxs-0 body folds the whole span
-// into one cell without touching a column — the O(1)-per-group path for
-// marginals over establishment attributes alone.
-func (v *MarginalView) foldTail(cols [][]uint16, idxs []int32, lo, hi int, sv int32, tgt, other []int32, keys []int32) []int32 {
+// Only the dynamic attributes are loaded per row; sv carries the
+// group-constant part of the key. A flat view's body folds the whole
+// span into one cell without touching a column — the O(1)-per-group
+// path for marginals over establishment attributes alone.
+func (v *MarginalView) foldTail(cols [][]uint16, lo, hi int, sv int32, tgt, other []int32, keys []int32) []int32 {
 	if lo >= hi {
 		return keys
 	}
+	idxs := v.dynIdx
 	switch len(idxs) {
 	case 0:
 		if tgt[sv] == 0 && other[sv] == 0 {
@@ -1022,54 +698,6 @@ func (v *MarginalView) foldTail(cols [][]uint16, idxs []int32, lo, hi int, sv in
 		}
 	}
 	return keys
-}
-
-// insertEnt inserts a first-seen establishment into the directory at
-// position pos (an append for births, whose IDs extend the frame; a
-// shift only for the rare re-staffed establishment that predates the
-// view).
-func (v *MarginalView) insertEnt(pos int, e int32, list []viewCell, sv int32, mixed bool) {
-	v.ents = append(v.ents, 0)
-	v.cellsOf = append(v.cellsOf, nil)
-	v.owned = append(v.owned, false)
-	v.staticOf = append(v.staticOf, 0)
-	v.mixed = append(v.mixed, false)
-	copy(v.ents[pos+1:], v.ents[pos:])
-	copy(v.cellsOf[pos+1:], v.cellsOf[pos:])
-	copy(v.owned[pos+1:], v.owned[pos:])
-	copy(v.staticOf[pos+1:], v.staticOf[pos:])
-	copy(v.mixed[pos+1:], v.mixed[pos:])
-	v.ents[pos] = e
-	v.cellsOf[pos] = list
-	v.owned[pos] = true
-	v.staticOf[pos] = sv
-	v.mixed[pos] = mixed
-}
-
-// mergeCellList merges an establishment's sorted contribution list with
-// its sorted diffs (count == 0 removes the cell) into a fresh list.
-func mergeCellList(old []viewCell, diffs []viewCell) []viewCell {
-	out := make([]viewCell, 0, len(old)+len(diffs))
-	i, j := 0, 0
-	for i < len(old) || j < len(diffs) {
-		switch {
-		case j >= len(diffs) || (i < len(old) && old[i].cell < diffs[j].cell):
-			out = append(out, old[i])
-			i++
-		case i >= len(old) || old[i].cell > diffs[j].cell:
-			if diffs[j].count > 0 {
-				out = append(out, diffs[j])
-			}
-			j++
-		default:
-			if diffs[j].count > 0 {
-				out = append(out, diffs[j])
-			}
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // patchCell folds the cell's chained changes into the new marginal and
@@ -1153,7 +781,6 @@ func (v *MarginalView) patchCell(newM *Marginal, c int, changes []viewChange) (r
 		floor = 0
 	}
 	v.floor[c] = floor
-	v.complete[c] = untracked == 0
 	// Exactness: with no untracked cohort the window is authoritative;
 	// otherwise the runner-up must clear the floor bounding the cohort.
 	if untracked > 0 && (ln < 2 || v.top[base+1].val < floor) {
@@ -1172,53 +799,79 @@ func (v *MarginalView) patchCell(newM *Marginal, c int, changes []viewChange) (r
 }
 
 // rescanCells rebuilds the fallback cells' statistics authoritatively
-// from the view's own post-patch contribution lists: one pass over the
-// per-establishment lists, folding only the marked cells. Counts and
-// entity counts are recomputed too (they must and do agree with the
-// patched values — the differential suites pin this), and the tracked
-// windows are rebuilt from scratch. Cost is O(tracked pairs), with no
-// index access at all.
-func (v *MarginalView) rescanCells(cells []int32, newM *Marginal) {
+// from the successor index: their counts, entity counts and windows are
+// cleared and refolded by foldGroups. Counts and entity counts are
+// recomputed too (they must and do agree with the patched values — the
+// differential suites pin this).
+func (v *MarginalView) rescanCells(cells []int32, newM *Marginal, ix *Index, cols [][]uint16) {
 	for _, c := range cells {
-		v.fbMark[c] = true
+		v.fbMark[c] |= fbCell
+		v.fbMark[v.staticPart(c)] |= fbStatic
 		newM.Counts[c] = 0
 		newM.EntityCount[c] = 0
-		newM.MaxEntityContribution[c] = 0
-		newM.SecondEntityContribution[c] = 0
 		v.topLen[c] = 0
 		v.floor[c] = 0
 	}
-	if v.flat {
-		for e, cnt := range v.flatCnt {
-			if cnt > 0 && v.fbMark[v.flatCell[e]] {
-				c := v.flatCell[e]
-				newM.Counts[c] += int64(cnt)
-				newM.EntityCount[c]++
-				v.insertTop(int(c), int32(e), cnt)
-			}
-		}
-	}
-	for vi, list := range v.cellsOf {
-		e := v.ents[vi]
-		for _, vc := range list {
-			if !v.fbMark[vc.cell] {
-				continue
-			}
-			newM.Counts[vc.cell] += int64(vc.count)
-			newM.EntityCount[vc.cell]++
-			v.insertTop(int(vc.cell), e, vc.count)
-		}
-	}
+	v.foldGroups(ix, cols, newM)
 	for _, c := range cells {
-		v.fbMark[c] = false
-		base := int(c) * viewTopK
-		ln := int(v.topLen[c])
-		if ln > 0 {
-			newM.MaxEntityContribution[c] = int64(v.top[base].val)
+		v.fbMark[c] = 0
+		v.fbMark[v.staticPart(c)] = 0
+		v.settle(newM, int(c))
+	}
+}
+
+// staticPart returns the static key part of cell key c: its digits of
+// the view's static attributes, weighted; the dynamic digits are zero.
+func (v *MarginalView) staticPart(c int32) int32 {
+	sv := int32(0)
+	for _, j := range v.staticIdx {
+		w := v.weights[j]
+		sv += c / w % int32(v.q.radices[j]) * w
+	}
+	return sv
+}
+
+// foldGroups folds every group of ix into m's fbCell-marked cells and
+// their windows. A group whose static key part carries no fbStatic mark
+// reaches no marked cell and is skipped after one read per static
+// attribute; a flat view's group folds whole in O(1). A demoted or
+// fully dynamic view has static part 0 everywhere, so nothing is
+// skipped.
+func (v *MarginalView) foldGroups(ix *Index, cols [][]uint16, m *Marginal) {
+	scatter := v.outCnt
+	keys := v.keysBuf
+	for g, e := range ix.entities {
+		lo, hi := int(ix.starts[g]), int(ix.starts[g+1])
+		sv := int32(0)
+		for _, j := range v.staticIdx {
+			sv += int32(cols[j][lo]) * v.weights[j]
 		}
-		if ln > 1 {
-			newM.SecondEntityContribution[c] = int64(v.top[base+1].val)
+		if v.fbMark[sv]&fbStatic == 0 {
+			continue
 		}
-		v.complete[c] = int64(ln) == newM.EntityCount[c]
+		keys = v.foldTail(cols, lo, hi, sv, scatter, scatter, keys[:0])
+		for _, key := range keys {
+			cnt := scatter[key]
+			scatter[key] = 0
+			if v.fbMark[key]&fbCell != 0 {
+				m.Counts[key] += int64(cnt)
+				m.EntityCount[key]++
+				v.insertTop(int(key), e, cnt)
+			}
+		}
+	}
+	v.keysBuf = keys[:0]
+}
+
+// settle publishes cell c's top two contributions from its window.
+func (v *MarginalView) settle(m *Marginal, c int) {
+	base := c * viewTopK
+	ln := int(v.topLen[c])
+	m.MaxEntityContribution[c], m.SecondEntityContribution[c] = 0, 0
+	if ln > 0 {
+		m.MaxEntityContribution[c] = int64(v.top[base].val)
+	}
+	if ln > 1 {
+		m.SecondEntityContribution[c] = int64(v.top[base+1].val)
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // Differential tests of the incremental view-maintenance kernel: a
-// MarginalView patched through Apply must stay bit-identical to a cold
-// BuildIndex + rescan of the successor table, on every statistic, for
-// every delta shape the quarterly pipeline produces — pure adds,
+// MarginalView patched through ApplyFrame must stay bit-identical to a
+// cold BuildIndex + rescan of the successor table, on every statistic,
+// for every delta shape the quarterly pipeline produces — pure adds,
 // death-heavy, mixed churn, and long chained sequences. The test
 // schema is tiny (12 cells) against 40–120 establishments, so nearly
 // every cell has more contributors than the tracked window holds: the
@@ -46,6 +46,16 @@ func keptSlice(ids []int32, kept map[int32]int32) []int32 {
 		out[i] = kept[e]
 	}
 	return out
+}
+
+// applyPatch builds one delta's frame and applies it to the view — the
+// one-view form of the publisher's shared-frame advance.
+func applyPatch(v *MarginalView, base, next *Index, touched, kept []int32) (*Marginal, PatchStats, error) {
+	f, err := NewPatchFrame(base, next, touched, kept)
+	if err != nil {
+		return nil, PatchStats{}, err
+	}
+	return v.ApplyFrame(f)
 }
 
 func patchQueries(s *Schema) []*Query {
@@ -86,7 +96,7 @@ func checkPatchDifferential(t *testing.T, er *entityRows, mutate func() (map[int
 	rebuilt := BuildIndex(next)
 	kp := keptSlice(ids, kept)
 	for k, v := range views {
-		m, st, err := v.Apply(baseIx, merged, ids, kp)
+		m, st, err := applyPatch(v, baseIx, merged, ids, kp)
 		if err != nil {
 			t.Fatalf("%s: Apply(%v): %v", label, qs[k].AttrNames(), err)
 		}
@@ -99,7 +109,7 @@ func checkPatchDifferential(t *testing.T, er *entityRows, mutate func() (map[int
 			t.Fatalf("%s: stats claim %d rescanned of %d patched cells", label, st.RescanCells, st.PatchedCells)
 		}
 		// A no-op delta on the patched view returns the same truth.
-		again, st2, err := v.Apply(merged, merged, nil, nil)
+		again, st2, err := applyPatch(v, merged, merged, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: empty Apply: %v", label, err)
 		}
@@ -217,7 +227,7 @@ func chainedPatchEpochs(t *testing.T, rng *rand.Rand, epochs int) {
 		rebuilt := BuildIndex(next)
 		kp := keptSlice(ids, kept)
 		for k, v := range views {
-			m, _, err := v.Apply(curIx, merged, ids, kp)
+			m, _, err := applyPatch(v, curIx, merged, ids, kp)
 			if err != nil {
 				t.Fatalf("epoch %d: Apply(%v): %v", epoch, qs[k].AttrNames(), err)
 			}
@@ -254,7 +264,7 @@ func TestPatchCloneIsolation(t *testing.T) {
 	kp := keptSlice(ids, kept)
 
 	clone := v.Clone()
-	cm, _, err := clone.Apply(baseIx, merged, ids, kp)
+	cm, _, err := applyPatch(clone, baseIx, merged, ids, kp)
 	if err != nil {
 		t.Fatalf("clone Apply: %v", err)
 	}
@@ -264,7 +274,7 @@ func TestPatchCloneIsolation(t *testing.T) {
 		t.Fatal("patching the clone disturbed the original view's truth")
 	}
 	marginalsEqual(t, v.Marginal(), baseIx.Compute(q), "original-after-clone-patch")
-	om, _, err := v.Apply(baseIx, merged, ids, kp)
+	om, _, err := applyPatch(v, baseIx, merged, ids, kp)
 	if err != nil {
 		t.Fatalf("original Apply after clone: %v", err)
 	}
@@ -295,16 +305,16 @@ func TestPatchRejectsBadInputs(t *testing.T) {
 		}
 		return v
 	}
-	if _, _, err := fresh().Apply(baseIx, merged, ids, nil); err == nil {
+	if _, _, err := applyPatch(fresh(), baseIx, merged, ids, nil); err == nil {
 		t.Error("Apply accepted mismatched touched/kept lengths")
 	}
-	if _, _, err := fresh().Apply(baseIx, merged, []int32{ids[0], ids[0]}, []int32{kp[0], kp[0]}); err == nil {
+	if _, _, err := applyPatch(fresh(), baseIx, merged, []int32{ids[0], ids[0]}, []int32{kp[0], kp[0]}); err == nil {
 		t.Error("Apply accepted a non-ascending touched list")
 	}
-	if _, _, err := fresh().Apply(baseIx, merged, ids, []int32{kp[0] + 100}); err == nil {
+	if _, _, err := applyPatch(fresh(), baseIx, merged, ids, []int32{kp[0] + 100}); err == nil {
 		t.Error("Apply accepted a kept count exceeding the base group")
 	}
-	if _, _, err := fresh().Apply(baseIx, merged, ids, []int32{-1}); err == nil {
+	if _, _, err := applyPatch(fresh(), baseIx, merged, ids, []int32{-1}); err == nil {
 		t.Error("Apply accepted a negative kept count")
 	}
 }
