@@ -99,13 +99,8 @@ type Config struct {
 	// with the shared admin key. The follower serves reads, sheds spend
 	// traffic with a hint to the primary, and takes over on
 	// POST /v1/admin/promote.
-	ReplicateFrom string `json:"replicate_from"`
-	// ReplayWindow bounds the per-tenant durable replay-dedup ring
-	// (request identities re-served without a second charge). 0 means
-	// the server default (4096). Primary and followers must agree — the
-	// ring is covered by the replication divergence digests.
-	ReplayWindow int      `json:"replay_window"`
-	Tenants      []Tenant `json:"tenants"`
+	ReplicateFrom string   `json:"replicate_from"`
+	Tenants       []Tenant `json:"tenants"`
 }
 
 // Default returns the baseline configuration with no tenants: test
@@ -167,9 +162,6 @@ func (c Config) Validate() error {
 	}
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("config: at least one tenant is required")
-	}
-	if c.ReplayWindow < 0 {
-		return fmt.Errorf("config: replay_window must be non-negative (0 means the default)")
 	}
 	if c.ReplicateFrom != "" {
 		if c.StateDir == "" {

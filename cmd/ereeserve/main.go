@@ -67,7 +67,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	addr := fs.String("addr", "", "override the configured listen address")
 	stateDir := fs.String("state-dir", "", "directory for durable accounting state (overrides the configured state_dir)")
 	replicateFrom := fs.String("replicate-from", "", "boot as a follower mirroring the primary at this base URL (overrides the configured replicate_from)")
-	replayWindow := fs.Int("replay-window", 0, "per-tenant replay-dedup ring bound, 0 = default (overrides the configured replay_window)")
 	replPoll := fs.Duration("repl-poll", 0, "follower poll interval for the primary's replication stream, 0 = default (250ms)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -99,9 +98,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	if *replicateFrom != "" {
 		cfg.ReplicateFrom = *replicateFrom
 	}
-	if *replayWindow != 0 {
-		cfg.ReplayWindow = *replayWindow
-	}
 	if cfg.ReplicateFrom != "" {
 		// Re-check the follower invariants after flag overrides.
 		if err := cfg.Validate(); err != nil {
@@ -123,7 +119,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		DeltaSeed:     cfg.DeltaSeed,
 		StateDir:      cfg.StateDir,
 		ReplicateFrom: cfg.ReplicateFrom,
-		ReplayWindow:  cfg.ReplayWindow,
 		ReplPoll:      *replPoll,
 	})
 	if err != nil {

@@ -110,12 +110,13 @@ func BenchmarkServeMarginalDurable(b *testing.B) {
 }
 
 // BenchmarkFollowerApply measures the follower's catch-up path per
-// shipped record: stream-sized batches appended to the local WAL
-// (durable before observed), then applied to the mirrored state
-// through applyRecord — the identical code recovery runs, digest
-// verification included. The record stream is real: spend records a
-// durable primary journaled serving the workload-1 marginal.
-// BENCH_serve.json's replication block records the result.
+// shipped record: stream-sized batches through Persistence.mirror, the
+// production path — appended to the local WAL (durable before
+// observed), then applied to the node's state through applyRecord, the
+// identical code recovery runs, digest verification included. The
+// record stream is real: spend records a durable primary journaled
+// serving the workload-1 marginal. BENCH_serve.json's replication
+// block records the result.
 func BenchmarkFollowerApply(b *testing.B) {
 	cfg := lodes.TestConfig()
 	cfg.NumEstablishments = 500
@@ -158,14 +159,15 @@ func BenchmarkFollowerApply(b *testing.B) {
 		b.Fatalf("primary journaled %d records, want >= 512", len(recs))
 	}
 
-	// The mirror: its own WAL (one fsync per stream batch) and the
-	// decoded snapshot the stream starts from, reset per pass so every
-	// digest record verifies at the position it was emitted.
-	mirror, _, err := wal.Open(b.TempDir(), wal.Options{})
+	// The mirror: a Persistence over its own state dir (one fsync per
+	// stream batch), its state reset per pass to the decoded snapshot the
+	// stream starts from, so every digest record verifies at the position
+	// it was emitted.
+	mirror, err := openState(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer mirror.Close()
+	defer mirror.store.Close()
 	const batch = 64
 
 	b.ReportAllocs()
@@ -175,17 +177,13 @@ func BenchmarkFollowerApply(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		mirror.state = st
 		for off := 0; off < len(recs) && applied < b.N; off += batch {
 			end := min(off+batch, len(recs))
-			if err := mirror.AppendBatch(recs[off:end]); err != nil {
+			if err := mirror.mirror(recs[off:end]); err != nil {
 				b.Fatal(err)
 			}
-			for _, rec := range recs[off:end] {
-				if err := st.applyRecord(rec); err != nil {
-					b.Fatal(err)
-				}
-				applied++
-			}
+			applied += end - off
 		}
 	}
 }

@@ -1,25 +1,27 @@
 package server
 
 // Follower mode: a live, bit-identical mirror of a primary's durable
-// state, maintained by tailing the primary's WAL and applying every
-// shipped record through applyRecord — the identical code path boot
-// recovery uses, so a mirror is correct exactly when recovery is.
+// state, maintained by tailing the primary's WAL. The mirror is the
+// node's own Persistence state — the same one a primary journals
+// into — and every shipped record reaches it through applyRecord, the
+// identical code path boot recovery uses, so a mirror is correct
+// exactly when recovery is, and a follower compacts exactly as a
+// primary does.
 //
-// The loop's contract, in order, for every batch: (1) append the
-// shipped records to the local WAL — byte-identical frames, durable
-// before anything observes them — then (2) apply each to the mirrored
-// state, advancing the local publisher inline on dataset-advance
-// records. Shipped digest records are verified by applyRecord at the
-// same log positions the primary computed them, so a mirror that has
-// diverged halts loudly (stops replicating, stops serving, refuses
-// promotion) instead of serving or inheriting a forked ledger. A
-// follower that falls behind a compaction re-seeds from the snapshot
-// endpoint and resumes — catch-up is part of the protocol, not an
-// operator event.
+// The loop's contract, in order, for every batch: Persistence.mirror
+// (1) appends the shipped records to the local WAL — byte-identical
+// frames, durable before anything observes them — then (2) applies
+// each to the state; (3) the local publisher then replays any dataset
+// advances the batch carried. Shipped digest records are verified by
+// applyRecord at the same log positions the primary computed them, so
+// a mirror that has diverged halts loudly (stops replicating, stops
+// serving, refuses promotion) instead of serving or inheriting a
+// forked ledger. A follower that falls behind a compaction re-seeds
+// from the snapshot endpoint and resumes — catch-up is part of the
+// protocol, not an operator event.
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,8 +35,6 @@ import (
 	"time"
 
 	"repro/cmd/ereeserve/config"
-	"repro/internal/dist"
-	"repro/internal/lodes"
 	"repro/internal/privacy"
 	"repro/internal/wal"
 )
@@ -50,7 +50,8 @@ func (e *replFatalError) Unwrap() error { return e.err }
 func fatalRepl(err error) error { return &replFatalError{err} }
 
 // replState is a follower's replication machinery: the upstream
-// cursor, the mirrored state, and the streaming loop's lifecycle.
+// cursor and the streaming loop's lifecycle. The mirrored state itself
+// lives in the server's Persistence.
 type replState struct {
 	upstream string
 	adminKey string
@@ -61,8 +62,7 @@ type replState struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	mu     sync.Mutex
-	fState *persistentState
+	mu sync.Mutex
 	// synced means (gen, offset) is a valid cursor into the primary's
 	// live generation; false forces a snapshot bootstrap.
 	synced bool
@@ -73,9 +73,7 @@ type replState struct {
 	// their difference is the replication lag.
 	applied         uint64
 	upstreamDurable uint64
-	totalApplied    uint64
 	diverged        string
-	lastErr         string
 }
 
 // openFollower boots s as a follower of opts.ReplicateFrom: recover
@@ -87,53 +85,33 @@ func openFollower(s *Server, opts Options) (*Server, error) {
 	if opts.AdminKey == "" {
 		return nil, fmt.Errorf("server: follower mode requires the admin key (replication endpoints authenticate with it)")
 	}
-	pers, st, err := openState(opts.StateDir, opts.ReplayWindow)
+	pers, err := openState(opts.StateDir)
 	if err != nil {
 		return nil, err
 	}
 	s.persist = pers
 	s.role.Store(roleFollower)
-	if st.Term > 0 {
-		s.term.Store(st.Term)
+	if t := pers.state.Term; t > 0 {
+		s.term.Store(t)
 	}
 	poll := opts.ReplPoll
 	if poll <= 0 {
 		poll = defaultReplPoll
 	}
-	rs := &replState{
+	s.repl = &replState{
 		upstream: strings.TrimRight(opts.ReplicateFrom, "/"),
 		adminKey: opts.AdminKey,
 		client:   &http.Client{Timeout: maxStreamWait + 15*time.Second},
 		poll:     poll,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-		fState:   st,
 	}
-	s.repl = rs
-	if err := rs.advancePublisherLocked(s); err != nil {
+	if err := s.replayLineage(); err != nil {
 		pers.store.Close()
 		return nil, err
 	}
-	go rs.run(s)
+	go s.repl.run(s)
 	return s, nil
-}
-
-// advancePublisherLocked replays the mirrored dataset lineage the
-// publisher has not yet absorbed (exclusive access to fState required:
-// boot, or under rs.mu). Generation and Advance are deterministic, so
-// the follower's snapshots are the primary's.
-func (rs *replState) advancePublisherLocked(s *Server) error {
-	for q := s.pub.Epoch(); q < len(rs.fState.QuarterSeeds); q++ {
-		seed := rs.fState.QuarterSeeds[q]
-		dl, err := lodes.GenerateDelta(s.pub.Dataset(), s.deltaCfg, dist.NewStreamFromSeed(seed))
-		if err != nil {
-			return fmt.Errorf("server: follower quarter %d: %w", q, err)
-		}
-		if err := s.pub.Advance(dl); err != nil {
-			return fmt.Errorf("server: follower quarter %d: %w", q, err)
-		}
-	}
-	return nil
 }
 
 // run is the replication loop: bootstrap when the cursor is invalid,
@@ -155,7 +133,6 @@ func (rs *replState) run(s *Server) {
 				log.Printf("ereeserve follower: DIVERGED from %s, halting replication: %v", rs.upstream, err)
 				return
 			}
-			rs.noteErr(err)
 		}
 		if progressed && err == nil {
 			continue
@@ -183,64 +160,31 @@ func (rs *replState) syncOnce(s *Server) (bool, error) {
 }
 
 // bootstrap (re-)seeds the mirror from the primary's compacted
-// snapshot: decode it, verify the dataset lineage extends what the
-// local publisher already absorbed (a publisher cannot rewind — a
-// shorter or forked lineage is divergence), install the snapshot bytes
-// into the local WAL so the next restart recovers from the same prefix
-// the primary's would, and point the cursor at the generation's start.
+// snapshot (Persistence.install verifies that its dataset lineage
+// extends what the local publisher already absorbed, and installs the
+// bytes into the local WAL), replays the lineage into the publisher,
+// and points the cursor at the generation's start.
 func (rs *replState) bootstrap(s *Server) error {
 	var snap replSnapshotJSON
 	if err := rs.get(s, "/v1/replication/snapshot", nil, &snap); err != nil {
 		return err
 	}
-	next := newPersistentState()
-	next.window = s.replayWindow
-	if snap.Snapshot != nil {
-		st, err := decodeSnapshot(snap.Snapshot)
-		if err != nil {
-			return fatalRepl(fmt.Errorf("primary snapshot undecodable: %w", err))
-		}
-		st.window = s.replayWindow
-		next = st
+	if err := s.persist.install(snap.Snapshot, s.pub.Epoch()); err != nil {
+		return fatalRepl(err)
+	}
+	if err := s.replayLineage(); err != nil {
+		return fatalRepl(err)
+	}
+	if t := s.persist.state.Term; t > s.term.Load() {
+		s.term.Store(t)
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if err := rs.checkLineageLocked(s, next); err != nil {
-		return fatalRepl(err)
-	}
-	if snap.Snapshot != nil {
-		if err := s.persist.store.Snapshot(snap.Snapshot); err != nil {
-			return fatalRepl(fmt.Errorf("installing primary snapshot: %w", err))
-		}
-	}
-	rs.fState = next
-	if err := rs.advancePublisherLocked(s); err != nil {
-		return fatalRepl(err)
-	}
-	if next.Term > s.term.Load() {
-		s.term.Store(next.Term)
-	}
 	rs.gen = snap.Gen
 	rs.offset = wal.StreamStart()
 	rs.applied = 0
 	rs.upstreamDurable = snap.DurableRecords
 	rs.synced = true
-	rs.lastErr = ""
-	return nil
-}
-
-// checkLineageLocked verifies the incoming state's dataset lineage is
-// an extension of what this node's publisher has already absorbed.
-func (rs *replState) checkLineageLocked(s *Server, next *persistentState) error {
-	n := s.pub.Epoch()
-	if len(next.QuarterSeeds) < n {
-		return fmt.Errorf("primary lineage has %d quarters but the local publisher is at epoch %d: mirrors have forked", len(next.QuarterSeeds), n)
-	}
-	for i := 0; i < n; i++ {
-		if next.QuarterSeeds[i] != rs.fState.QuarterSeeds[i] {
-			return fmt.Errorf("dataset lineage fork at quarter %d: primary seed %d, local %d", i, next.QuarterSeeds[i], rs.fState.QuarterSeeds[i])
-		}
-	}
 	return nil
 }
 
@@ -270,45 +214,24 @@ func (rs *replState) streamOnce(s *Server) (bool, error) {
 		rs.mu.Unlock()
 		return false, nil
 	}
-	if err := s.persist.store.AppendBatch(resp.Records); err != nil {
-		return false, fatalRepl(fmt.Errorf("mirroring records to the local log: %w", err))
+	if err := s.persist.mirror(resp.Records); err != nil {
+		return false, fatalRepl(err)
+	}
+	// Once per batch: dataset advances move the publisher, a higher
+	// recorded term moves the node's term. This loop is the state's only
+	// writer on a follower, so it reads the state without the lock.
+	if err := s.replayLineage(); err != nil {
+		return false, fatalRepl(err)
+	}
+	if t := s.persist.state.Term; t > s.term.Load() {
+		s.term.Store(t)
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	for _, rec := range resp.Records {
-		if err := rs.applyLocked(s, rec); err != nil {
-			return false, fatalRepl(err)
-		}
-	}
+	rs.applied += uint64(len(resp.Records))
 	rs.offset = resp.Next
 	rs.upstreamDurable = resp.DurableRecords
-	rs.lastErr = ""
 	return true, nil
-}
-
-// applyLocked applies one shipped record to the mirrored state —
-// applyRecord verifies digest records in passing — and mirrors its
-// side effects: dataset advances move the publisher, term records move
-// the node's term.
-func (rs *replState) applyLocked(s *Server, rec []byte) error {
-	if err := rs.fState.applyRecord(rec); err != nil {
-		return fmt.Errorf("applying shipped record: %w", err)
-	}
-	rs.applied++
-	rs.totalApplied++
-	if len(rec) > 0 {
-		switch rec[0] {
-		case recAdvanceDataset:
-			if err := rs.advancePublisherLocked(s); err != nil {
-				return err
-			}
-		case recTerm, recFence:
-			if t := rs.fState.Term; t > s.term.Load() {
-				s.term.Store(t)
-			}
-		}
-	}
-	return nil
 }
 
 // get performs one authenticated replication request against the
@@ -350,12 +273,6 @@ func (rs *replState) markDiverged(s *Server, msg string) {
 	s.state.Store(stateDiverged)
 }
 
-func (rs *replState) noteErr(err error) {
-	rs.mu.Lock()
-	rs.lastErr = err.Error()
-	rs.mu.Unlock()
-}
-
 // stopLoop stops the replication loop and waits for it to exit.
 // Idempotent; safe after the loop already halted itself.
 func (rs *replState) stopLoop() {
@@ -385,16 +302,7 @@ func (rs *replState) status(out *replStatusJSON) {
 	if l := int64(rs.upstreamDurable) - int64(rs.applied); l > 0 && rs.synced {
 		out.LagRecords = l
 	}
-	d := digestOf(rs.fState)
-	out.StateDigest = hex.EncodeToString(d[:])
 	out.Diverged = rs.diverged
-}
-
-// encodeState snapshots the mirrored state (shutdown compaction).
-func (rs *replState) encodeState() []byte {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return encodeSnapshot(rs.fState)
 }
 
 // promoteFollower is the follower half of /v1/admin/promote (fenceMu
@@ -406,27 +314,15 @@ func (s *Server) promoteFollower() error {
 	rs := s.repl
 	rs.stopLoop()
 	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.diverged != "" {
-		return fmt.Errorf("refusing to promote a diverged follower: %s", rs.diverged)
+	diverged := rs.diverged
+	rs.mu.Unlock()
+	if diverged != "" {
+		return fmt.Errorf("refusing to promote a diverged follower: %s", diverged)
 	}
-	st := rs.fState
-	newTerm := st.Term + 1
-	if newTerm < 2 {
-		newTerm = 2
-	}
-	var w recWriter
-	w.u8(recTerm)
-	w.u64(newTerm)
-	if err := s.persist.append(w.b); err != nil {
+	if err := s.persist.LogTerm(max(s.persist.state.Term+1, 2)); err != nil {
 		return fmt.Errorf("journaling promotion term: %w", err)
 	}
-	if err := st.applyRecord(w.b); err != nil {
-		return fmt.Errorf("applying promotion term: %w", err)
-	}
-	s.term.Store(newTerm)
-	s.fenced.Store(false)
-	if err := s.adopt(s.persist, st); err != nil {
+	if err := s.adopt(s.persist); err != nil {
 		return fmt.Errorf("adopting mirrored state: %w", err)
 	}
 	s.role.Store(rolePrimary)
@@ -436,12 +332,13 @@ func (s *Server) promoteFollower() error {
 
 // followerStats renders /v1/stats from the mirrored state: a follower
 // has no live accountants (charges happen on the primary), so the
-// tenant's position is read from the mirror. The publisher's cache
-// stats are this node's own — followers serve their own reads.
+// tenant's position is read from the Persistence state, under its
+// lock. The publisher's cache stats are this node's own — followers
+// serve their own reads.
 func (s *Server) followerStats(t *privacy.Tenant) statsJSON {
-	rs := s.repl
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
+	p := s.persist
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	def, alpha := t.Acct.Def()
 	out := statsJSON{
 		Tenant:     t.Name,
@@ -449,7 +346,7 @@ func (s *Server) followerStats(t *privacy.Tenant) statsJSON {
 		Alpha:      alpha,
 		Epoch:      s.pub.Epoch(),
 	}
-	if ts, ok := rs.fState.Tenants[t.Name]; ok {
+	if ts, ok := p.state.Tenants[t.Name]; ok {
 		out.SpentEps = ts.SpentEps
 		out.SpentDelta = ts.SpentDelta
 		out.Releases = ts.Releases
@@ -459,12 +356,12 @@ func (s *Server) followerStats(t *privacy.Tenant) statsJSON {
 		for i, e := range ts.Ledger {
 			out.SpendByEpoch[i] = epochSpendJSON{Epoch: e.Epoch, Eps: e.Eps, Delta: e.Delta, Releases: e.Releases}
 		}
-		out.ReplayCache = &replayCacheJSON{Capacity: rs.fState.windowSize(), Size: len(ts.Recent)}
+		out.ReplayCache = &replayCacheJSON{Capacity: replayWindow, Size: len(ts.Recent)}
 	} else {
 		beps, bdelta := t.Acct.Budget()
 		out.RemainingEps, out.RemainingDelta = beps, bdelta
 		out.SpendByEpoch = []epochSpendJSON{}
-		out.ReplayCache = &replayCacheJSON{Capacity: rs.fState.windowSize()}
+		out.ReplayCache = &replayCacheJSON{Capacity: replayWindow}
 	}
 	for _, cs := range s.pub.CacheStatsByEpoch() {
 		out.Cache = append(out.Cache, cacheStatsJSON{Epoch: cs.Epoch, Hits: cs.Hits, Misses: cs.Misses, Patches: cs.Patches, Evictions: cs.Evictions})

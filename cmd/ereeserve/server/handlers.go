@@ -392,8 +392,8 @@ type statsJSON struct {
 	ReplayCache    *replayCacheJSON `json:"replay_cache,omitempty"`
 }
 
-// replayCacheJSON reports the tenant's replay-dedup ring: the
-// configured bound, the live occupancy, and how many identities this
+// replayCacheJSON reports the tenant's replay-dedup ring: its bound
+// (replayWindow), the live occupancy, and how many identities this
 // process has evicted (an evicted identity's retry re-charges).
 type replayCacheJSON struct {
 	Capacity  int   `json:"capacity"`
@@ -445,8 +445,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *privacy.
 	for _, cs := range s.pub.CacheStatsByEpoch() {
 		out.Cache = append(out.Cache, cacheStatsJSON{Epoch: cs.Epoch, Hits: cs.Hits, Misses: cs.Misses, Patches: cs.Patches, Evictions: cs.Evictions})
 	}
-	size, evictions, capacity := s.replay.stats(t.Name)
-	out.ReplayCache = &replayCacheJSON{Capacity: capacity, Size: size, Evictions: evictions}
+	size, evictions := s.replay.stats(t.Name)
+	out.ReplayCache = &replayCacheJSON{Capacity: replayWindow, Size: size, Evictions: evictions}
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -550,7 +550,6 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.quartersAbsorbed++
-		s.quarterSeeds = append(s.quarterSeeds, seed)
 		next := s.pub.Dataset()
 		cs := s.pub.MarginalCacheStats()
 		out.Quarters = append(out.Quarters, advanceQuarter{

@@ -22,9 +22,16 @@ package server
 // and a streaming follower detect divergence instead of serving from
 // a forked state).
 //
-// The same log is the replication stream: a follower applies shipped
-// records through applyRecord — the identical code path recovery
-// uses — so a mirror is correct exactly when recovery is.
+// Persistence owns the node's one durable state, a persistentState,
+// from openState to Close. Every record the node stages (a primary's
+// charges, advances and terms) or mirrors (a follower's shipped
+// batches) is applied to it in log order through applyRecord — the
+// code path recovery replays — compaction encodes it, and the
+// replication status hashes it. Nothing rebuilds it from the live
+// accountants, so a snapshot is by construction what replaying the log
+// gives: crash recovery, a drain, a follower bootstrap and a promotion
+// write the same bytes for the same history, and a mirror is correct
+// exactly when recovery is.
 //
 // Floats travel as IEEE-754 bit patterns and recovery re-applies the
 // same additions in the same per-tenant order the live accountant
@@ -36,6 +43,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -62,11 +70,11 @@ const (
 // snapshots (pre-replication state dirs) decode with term 0.
 const snapshotVersion byte = 2
 
-// replayWindow is the default bound on the per-tenant ring of
-// remembered request identities for duplicate detection (configurable
-// via Options.ReplayWindow / the replay_window config field). A retry
-// older than the window re-charges — the safe direction (never a free
-// fresh release).
+// replayWindow bounds both per-tenant rings of remembered request
+// identities: the durable Recent ring in the state and the live
+// replayCache. Digests cover the durable ring, so every node must use
+// the same bound — hence a constant. A retry older than the window
+// re-charges — the safe direction (never a free fresh release).
 const replayWindow = 4096
 
 // digestEveryDefault is how many appended records elapse between
@@ -172,39 +180,32 @@ func (r *recReader) done() error {
 
 // Persistence adapts the WAL store into the privacy.Journal the
 // accountants write through, plus the server-level dataset-advance
-// record. Every Log method is durable on return (group-committed
-// under concurrency via wal.Store.Stage/Commit).
+// and term records. Every Log method is durable on return
+// (group-committed under concurrency via wal.Store.Stage/Commit).
 //
-// When a shadow state is attached (setShadow, done by the primary
-// after its boot compaction), every staged record is also applied to
-// the shadow — a persistentState maintained in exact log order, which
-// is what log replay would reconstruct. The shadow is what periodic
-// digest records are computed over: every digestEveryDefault records
+// state is the node's durable state in exact log order. Periodic
+// digest records are computed over it: every digestEveryDefault records
 // the journal stages a recDigest carrying SHA-256 over the canonical
 // state body, and any replayer (recovery, a streaming follower)
 // recomputes and compares at the same log position. Staging — record
-// ordering plus shadow application — happens under p.mu; the fsync
-// wait does not, so group commit still batches.
+// ordering plus state application — happens under mu; the fsync wait
+// does not, so group commit still batches.
+//
+// The state sees a record when it is staged, before its fsync, so it
+// must never answer a replay lookup: that could re-serve bytes for a
+// charge that never became durable. Replays stay on the replayCache,
+// which learns an identity only after its charge committed.
 type Persistence struct {
 	store *wal.Store
 
 	mu          sync.Mutex
-	shadow      *persistentState
+	state       *persistentState
 	sinceDigest int
 }
 
-// setShadow attaches the log-ordered shadow state digests are
-// computed over.
-func (p *Persistence) setShadow(st *persistentState) {
-	p.mu.Lock()
-	p.shadow = st
-	p.sinceDigest = 0
-	p.mu.Unlock()
-}
-
 // append stages one record (and, at the digest cadence, a trailing
-// digest record), applies it to the shadow state, and blocks until
-// the group commit covering it completes.
+// digest record), applies it to the state, and blocks until the group
+// commit covering it completes.
 func (p *Persistence) append(rec []byte) error {
 	p.mu.Lock()
 	seq, err := p.store.Stage(rec)
@@ -212,31 +213,106 @@ func (p *Persistence) append(rec []byte) error {
 		p.mu.Unlock()
 		return err
 	}
-	if p.shadow != nil {
-		if aerr := p.shadow.applyRecord(rec); aerr != nil {
-			// The record is staged but the shadow refused it: the log and
-			// the in-memory mirror would disagree from here on. Surfacing
-			// the error aborts the charge (the server sheds), which is the
-			// safe over-charging direction — the staged record may still
-			// reach disk and replay as spend with no response sent.
-			p.mu.Unlock()
-			return fmt.Errorf("server: shadow state apply: %w", aerr)
-		}
-		p.sinceDigest++
-		if p.sinceDigest >= digestEveryDefault {
-			d := digestOf(p.shadow)
-			var w recWriter
-			w.u8(recDigest)
-			w.b = append(w.b, d[:]...)
-			if dseq, derr := p.store.Stage(w.b); derr == nil {
-				// Digest records do not mutate state; nothing to apply.
-				seq = dseq
-				p.sinceDigest = 0
-			}
+	if aerr := p.state.applyRecord(rec); aerr != nil {
+		// The record is staged but the state refused it: the log and the
+		// in-memory state would disagree from here on. Surfacing the
+		// error aborts the charge (the server sheds), which is the safe
+		// over-charging direction — the staged record may still reach
+		// disk and replay as spend with no response sent.
+		p.mu.Unlock()
+		return fmt.Errorf("server: state apply: %w", aerr)
+	}
+	p.sinceDigest++
+	if p.sinceDigest >= digestEveryDefault {
+		d := digestOf(p.state)
+		var w recWriter
+		w.u8(recDigest)
+		w.b = append(w.b, d[:]...)
+		if dseq, derr := p.store.Stage(w.b); derr == nil {
+			// Digest records do not mutate state; nothing to apply.
+			seq = dseq
+			p.sinceDigest = 0
 		}
 	}
 	p.mu.Unlock()
 	return p.store.Commit(seq)
+}
+
+// mirror is a follower's apply path for one shipped batch: append the
+// byte-identical frames to the local WAL (durable before anything
+// observes them), then apply each to the state — shipped digest
+// records verify in passing. A follower emits no records of its own,
+// so the digest cadence is untouched.
+func (p *Persistence) mirror(recs [][]byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.store.AppendBatch(recs); err != nil {
+		return fmt.Errorf("mirroring records to the local log: %w", err)
+	}
+	for _, rec := range recs {
+		if err := p.state.applyRecord(rec); err != nil {
+			return fmt.Errorf("applying shipped record: %w", err)
+		}
+	}
+	return nil
+}
+
+// install is a follower's bootstrap: replace the state with the
+// decoding of a primary's compacted snapshot, and install the bytes
+// verbatim into the local store so the next restart recovers from the
+// prefix the primary's would. The snapshot's dataset lineage must
+// extend the first absorbed quarters of the current state — a
+// publisher cannot rewind — so a shorter or forked lineage is
+// divergence, and it leaves the store untouched for forensics.
+func (p *Persistence) install(snap []byte, absorbed int) error {
+	next := newPersistentState()
+	if snap != nil {
+		var err error
+		if next, err = decodeSnapshot(snap); err != nil {
+			return fmt.Errorf("primary snapshot undecodable: %w", err)
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(next.QuarterSeeds) < absorbed {
+		return fmt.Errorf("primary lineage has %d quarters but the local publisher is at epoch %d: mirrors have forked", len(next.QuarterSeeds), absorbed)
+	}
+	for i := 0; i < absorbed; i++ {
+		if next.QuarterSeeds[i] != p.state.QuarterSeeds[i] {
+			return fmt.Errorf("dataset lineage fork at quarter %d: primary seed %d, local %d", i, next.QuarterSeeds[i], p.state.QuarterSeeds[i])
+		}
+	}
+	if snap != nil {
+		if err := p.store.Snapshot(snap); err != nil {
+			return fmt.Errorf("installing primary snapshot: %w", err)
+		}
+	}
+	p.state = next
+	return nil
+}
+
+// compact folds the state into a fresh snapshot and rotates the log,
+// restarting the digest cadence: every digest chain is anchored at a
+// snapshot both a recovering process and a bootstrapping follower
+// decode identically. Like wal.Store.Snapshot, this is a
+// quiescent-point operation (boot, drain, promote).
+func (p *Persistence) compact() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.store.Snapshot(encodeSnapshot(p.state)); err != nil {
+		return err
+	}
+	p.sinceDigest = 0
+	return nil
+}
+
+// digest is the node's live divergence digest: the hash a replayer of
+// its log would compute right now.
+func (p *Persistence) digest() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	d := digestOf(p.state)
+	return hex.EncodeToString(d[:])
 }
 
 func (p *Persistence) LogSpend(rec privacy.SpendRecord) error {
@@ -317,7 +393,7 @@ type replayKey struct {
 	Epoch  int
 }
 
-// tenantState is one tenant's accounting as recovered from disk.
+// tenantState is one tenant's accounting as the log records it.
 type tenantState struct {
 	Def         privacy.Definition
 	Alpha       float64
@@ -332,30 +408,18 @@ type tenantState struct {
 }
 
 // persistentState is everything the snapshot carries (and the log
-// patches): the dataset lineage, every tenant's accounting, and the
-// node's fencing term. window bounds each tenant's Recent ring; it is
-// configuration (not state), so it travels outside the snapshot — but
-// because digests cover the ring, primary and follower must agree on
-// it (a mismatch surfaces as a divergence halt, which is correct:
-// the mirrors genuinely differ).
+// patches): the dataset lineage, every tenant's accounting — including
+// tenants the current configuration no longer names, whose history
+// simply stays — and the node's fencing term.
 type persistentState struct {
 	QuarterSeeds []int64
 	Tenants      map[string]*tenantState
 	Term         uint64
 	Fenced       bool
-
-	window int
 }
 
 func newPersistentState() *persistentState {
 	return &persistentState{Tenants: make(map[string]*tenantState)}
-}
-
-func (st *persistentState) windowSize() int {
-	if st.window > 0 {
-		return st.window
-	}
-	return replayWindow
 }
 
 // digestOf is the divergence detector's view of state: SHA-256 over
@@ -475,8 +539,8 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		cur.Releases += int(releases)
 		if tagged == 1 {
 			t.Recent = append(t.Recent, tag)
-			if win := st.windowSize(); len(t.Recent) > win {
-				t.Recent = t.Recent[len(t.Recent)-win:]
+			if len(t.Recent) > replayWindow {
+				t.Recent = t.Recent[len(t.Recent)-replayWindow:]
 			}
 			if tag.Seq+1 > t.NextSeq {
 				t.NextSeq = tag.Seq + 1
@@ -735,48 +799,44 @@ func decodeSnapshot(payload []byte) (*persistentState, error) {
 	return st, nil
 }
 
-// openState opens the WAL in dir and reconstructs the persistent
-// state: decode the snapshot, then replay every post-snapshot record
-// (digest records along the way re-verify the replay). window bounds
-// the per-tenant replay rings; ≤ 0 selects the default.
-func openState(dir string, window int) (*Persistence, *persistentState, error) {
+// openState opens the WAL in dir and reconstructs the node's state:
+// decode the snapshot, then replay every post-snapshot record (digest
+// records along the way re-verify the replay).
+func openState(dir string) (*Persistence, error) {
 	store, recovered, err := wal.Open(dir, wal.Options{
 		BeforeSync: func() { crashpoint.Maybe(crashBeforeSync) },
 		AfterSync:  func() { crashpoint.Maybe(crashAfterSync) },
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st := newPersistentState()
-	st.window = window
 	if recovered.Snapshot != nil {
 		st, err = decodeSnapshot(recovered.Snapshot)
 		if err != nil {
 			store.Close()
-			return nil, nil, fmt.Errorf("server: state snapshot: %w", err)
+			return nil, fmt.Errorf("server: state snapshot: %w", err)
 		}
-		st.window = window
 	}
 	for i, raw := range recovered.Records {
 		if err := st.applyRecord(raw); err != nil {
 			store.Close()
-			return nil, nil, fmt.Errorf("server: state log record %d: %w", i, err)
+			return nil, fmt.Errorf("server: state log record %d: %w", i, err)
 		}
 	}
-	return &Persistence{store: store}, st, nil
+	return &Persistence{store: store, state: st}, nil
 }
 
 // ---- replay cache -------------------------------------------------
 
 // replayCache is the live mirror of each tenant's Recent ring: the
 // request identities whose charges are on disk, so a repeat can be
-// served as a free replay. Bounded per tenant (capacity comes from
-// Options.ReplayWindow); eviction is oldest-first, and an evicted
-// identity simply re-charges on retry.
+// served as a free replay. Bounded per tenant by replayWindow;
+// eviction is oldest-first, and an evicted identity simply re-charges
+// on retry.
 type replayCache struct {
-	mu       sync.Mutex
-	capacity int
-	tenants  map[string]*tenantReplay
+	mu      sync.Mutex
+	tenants map[string]*tenantReplay
 }
 
 type tenantReplay struct {
@@ -785,11 +845,8 @@ type tenantReplay struct {
 	evictions int64
 }
 
-func newReplayCache(capacity int) *replayCache {
-	if capacity <= 0 {
-		capacity = replayWindow
-	}
-	return &replayCache{capacity: capacity, tenants: make(map[string]*tenantReplay)}
+func newReplayCache() *replayCache {
+	return &replayCache{tenants: make(map[string]*tenantReplay)}
 }
 
 func (c *replayCache) add(tenant string, k replayKey) {
@@ -805,7 +862,7 @@ func (c *replayCache) add(tenant string, k replayKey) {
 	}
 	tr.seen[k] = struct{}{}
 	tr.fifo = append(tr.fifo, k)
-	if len(tr.fifo) > c.capacity {
+	if len(tr.fifo) > replayWindow {
 		evict := tr.fifo[0]
 		tr.fifo = tr.fifo[1:]
 		delete(tr.seen, evict)
@@ -813,17 +870,17 @@ func (c *replayCache) add(tenant string, k replayKey) {
 	}
 }
 
-// stats reports the tenant's live ring occupancy, how many identities
-// have been evicted over its lifetime, and the configured bound —
-// surfaced in /v1/stats so operators can see when retries are old
-// enough to re-charge.
-func (c *replayCache) stats(tenant string) (size int, evictions int64, capacity int) {
+// stats reports the tenant's live ring occupancy and how many
+// identities have been evicted over its lifetime — surfaced in
+// /v1/stats so operators can see when retries are old enough to
+// re-charge.
+func (c *replayCache) stats(tenant string) (size int, evictions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if tr, ok := c.tenants[tenant]; ok {
-		return len(tr.fifo), tr.evictions, c.capacity
+		return len(tr.fifo), tr.evictions
 	}
-	return 0, 0, c.capacity
+	return 0, 0
 }
 
 func (c *replayCache) has(tenant string, k replayKey) bool {
@@ -835,16 +892,6 @@ func (c *replayCache) has(tenant string, k replayKey) bool {
 	}
 	_, hit := tr.seen[k]
 	return hit
-}
-
-func (c *replayCache) snapshot(tenant string) []replayKey {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tr, ok := c.tenants[tenant]
-	if !ok {
-		return nil
-	}
-	return append([]replayKey(nil), tr.fifo...)
 }
 
 func (c *replayCache) seed(tenant string, keys []replayKey) {

@@ -4,13 +4,16 @@ package server
 // real processes; see cmd/ereeserve/chaos_test.go): recovery is
 // bit-identical, duplicate requests after recovery are served without a
 // second charge, a dead accounting store degrades to 503 rather than
-// serving uncharged bytes, and compaction bounds the state directory.
+// serving uncharged bytes, compaction bounds the state directory, and
+// a crash and a drain over the same history write the same snapshot.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -323,5 +326,152 @@ func TestStatsSurviveRecovery(t *testing.T) {
 		s1.RemainingEps != s2.RemainingEps || s1.RemainingDelta != s2.RemainingDelta ||
 		s1.Releases != s2.Releases || len(s1.SpendByEpoch) != len(s2.SpendByEpoch) {
 		t.Fatalf("stats diverge across recovery:\n  before: %+v\n  after:  %+v", s1, s2)
+	}
+}
+
+// replStatus reads the node's /v1/replication/status.
+func replStatus(t *testing.T, hs *httptest.Server) replStatusJSON {
+	t.Helper()
+	status, body := do(t, hs, "GET", "/v1/replication/status", keyAdmin, "")
+	if status != http.StatusOK {
+		t.Fatalf("replication status = %d: %s", status, body)
+	}
+	var st replStatusJSON
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.StateDigest == "" {
+		t.Fatal("replication status carries no state digest")
+	}
+	return st
+}
+
+// ledgerEpochs lists a /v1/stats ledger's epochs, oldest first.
+func ledgerEpochs(t *testing.T, hs *httptest.Server, key string) []int {
+	t.Helper()
+	status, body := do(t, hs, "GET", "/v1/stats", key, "")
+	if status != http.StatusOK {
+		t.Fatalf("stats = %d: %s", status, body)
+	}
+	var st statsJSON
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	epochs := make([]int, len(st.SpendByEpoch))
+	for i, e := range st.SpendByEpoch {
+		epochs[i] = e.Epoch
+	}
+	return epochs
+}
+
+// TestOneHistoryOneSnapshot: a snapshot is what replaying the log
+// gives, however the node stopped. The same script — client-named
+// seqs, one server-assigned seq, an admin advance — runs into two state
+// dirs. One node is abandoned (a crash: the log is the only truth), the
+// other drained (its state is compacted into a snapshot). Reopened, the
+// two nodes write byte-identical snapshots, each reports the state
+// digest it reported before it stopped, and both assign the next seq
+// from the log: one past the highest charged seq.
+func TestOneHistoryOneSnapshot(t *testing.T) {
+	opts := Options{NoiseSeed: 7, AdminKey: keyAdmin, DeltaSeed: 100}
+	script := []scriptReq{
+		{"/v1/release", `{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"seq":0}`},
+		{"/v1/release", `{"attrs":["ownership"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"seq":1}`},
+		{"/v1/release", `{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.75}`},
+	}
+	const next = `{"attrs":["ownership"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.75}`
+	var snaps [2][]byte
+	for i, drain := range []bool{false, true} {
+		dir := t.TempDir()
+		srv, hs := openDurable(t, dir, 1, opts, nil)
+		for _, rq := range script {
+			if status, body := do(t, hs, "POST", rq.path, keyAlpha, rq.body); status != http.StatusOK {
+				t.Fatalf("POST %s = %d: %s", rq.path, status, body)
+			}
+		}
+		if status, body := do(t, hs, "POST", "/v1/admin/advance", keyAdmin, `{"quarters":1}`); status != http.StatusOK {
+			t.Fatalf("advance = %d: %s", status, body)
+		}
+		before := replStatus(t, hs).StateDigest
+		hs.Close()
+		if drain {
+			if err := srv.closePersistent(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		srv2, hs2 := openDurable(t, dir, 1, opts, nil)
+		if after := replStatus(t, hs2).StateDigest; after != before {
+			t.Fatalf("drain=%v: state digest %s after reopen, %s before", drain, after, before)
+		}
+		_, snap, err := srv2.persist.store.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = snap
+		status, body := do(t, hs2, "POST", "/v1/release", keyAlpha, next)
+		if status != http.StatusOK {
+			t.Fatalf("drain=%v: post-reopen release = %d: %s", drain, status, body)
+		}
+		var rel releaseJSON
+		if err := json.Unmarshal(body, &rel); err != nil {
+			t.Fatal(err)
+		}
+		if rel.Seq != 2 {
+			t.Fatalf("drain=%v: post-reopen server-assigned seq = %d, want 2 (one past the highest charged seq)", drain, rel.Seq)
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("crash and drain over one history wrote different snapshots:\n  crash: %x\n  drain: %x", snaps[0], snaps[1])
+	}
+}
+
+// TestTenantConfiguredAtLaterEpoch: a tenant added to the configuration
+// after the dataset advanced joins at the publisher's epoch through
+// the journal — boot's ledger reconcile is journaled like any other
+// advance — so its ledger lists every epoch from 0, and a further
+// crash and reopen change neither that ledger nor the state digest.
+func TestTenantConfiguredAtLaterEpoch(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{NoiseSeed: 7, AdminKey: keyAdmin, DeltaSeed: 100}
+	_, hs := openDurable(t, dir, 1, opts, nil)
+	if status, body := do(t, hs, "POST", "/v1/release", keyAlpha,
+		`{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"seq":0}`); status != http.StatusOK {
+		t.Fatalf("release = %d: %s", status, body)
+	}
+	if status, body := do(t, hs, "POST", "/v1/admin/advance", keyAdmin, `{"quarters":2}`); status != http.StatusOK {
+		t.Fatalf("advance = %d: %s", status, body)
+	}
+	hs.Close() // crash at epoch 2
+
+	both := []tenantSpec{
+		{name: "alpha", key: keyAlpha, eps: 1e6, delta: 0.5},
+		{name: "beta", key: keyBeta, eps: 1e6, delta: 0.5},
+	}
+	want := []int{0, 1, 2}
+	srv2, hs2 := openDurable(t, dir, 1, opts, both)
+	acctLedger := tenantOf(t, srv2, "beta").Acct.SpendByEpoch()
+	acctEpochs := make([]int, len(acctLedger))
+	for i, e := range acctLedger {
+		acctEpochs[i] = e.Epoch
+	}
+	if !slices.Equal(acctEpochs, want) {
+		t.Fatalf("new tenant's accountant ledger = %+v, want epochs %v", acctLedger, want)
+	}
+	if got := ledgerEpochs(t, hs2, keyBeta); !slices.Equal(got, want) {
+		t.Fatalf("new tenant's /v1/stats ledger epochs = %v, want %v", got, want)
+	}
+	digest := replStatus(t, hs2).StateDigest
+	hs2.Close() // crash again
+
+	srv3, hs3 := openDurable(t, dir, 1, opts, both)
+	if got := tenantOf(t, srv3, "beta").Acct.SpendByEpoch(); !slices.Equal(got, acctLedger) {
+		t.Fatalf("new tenant's ledger moved across a crash: %+v -> %+v", acctLedger, got)
+	}
+	if got := ledgerEpochs(t, hs3, keyBeta); !slices.Equal(got, want) {
+		t.Fatalf("new tenant's /v1/stats ledger epochs after a crash = %v, want %v", got, want)
+	}
+	if got := replStatus(t, hs3).StateDigest; got != digest {
+		t.Fatalf("state digest moved across a crash: %s -> %s", digest, got)
 	}
 }

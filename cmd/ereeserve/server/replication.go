@@ -16,7 +16,6 @@ package server
 // a fenced ex-primary it clears the fence.
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -200,18 +199,6 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shadowDigest is the primary's live divergence digest: the hash a
-// replayer of its log would compute right now.
-func (p *Persistence) shadowDigest() (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.shadow == nil {
-		return "", false
-	}
-	d := digestOf(p.shadow)
-	return hex.EncodeToString(d[:]), true
-}
-
 // handleReplStatus serves GET /v1/replication/status.
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	out := replStatusJSON{
@@ -222,15 +209,14 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.persist != nil {
 		gen, _, nrec := s.persist.store.Durable()
-		out.Gen, out.DurableRecords = gen, nrec
-	}
-	if s.role.Load() == roleFollower && s.repl != nil {
-		s.repl.status(&out)
-	} else if s.persist != nil {
-		out.AppliedRecords = out.DurableRecords
-		if d, ok := s.persist.shadowDigest(); ok {
-			out.StateDigest = d
+		out.Gen, out.DurableRecords, out.AppliedRecords = gen, nrec, nrec
+		if s.role.Load() == roleFollower && s.repl != nil {
+			s.repl.status(&out)
 		}
+		// Read after the follower's applied count: the mirror applies a
+		// batch before counting it, so the digest covers at least what
+		// the response reports applied.
+		out.StateDigest = s.persist.digest()
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -92,9 +92,6 @@ type Server struct {
 	// (quarter q draws from deltaSeed+q), so an advance sequence is
 	// reproducible regardless of how it is split into calls.
 	quartersAbsorbed int
-	// quarterSeeds records each absorbed quarter's generation seed, in
-	// order — the durable form of the dataset lineage (guarded by advMu).
-	quarterSeeds []int64
 	// seqs assigns per-tenant sequence numbers to requests that do not
 	// carry one: map[string]*atomic.Int64 keyed by tenant name.
 	seqs sync.Map
@@ -105,10 +102,6 @@ type Server struct {
 	// replay remembers recently charged request identities so a client
 	// retry of a durable charge is re-served without charging again.
 	replay *replayCache
-	// extraTenants carries recovered accounting for tenants absent from
-	// the current configuration: their spend history must survive into
-	// future snapshots even while no key maps to them.
-	extraTenants map[string]*tenantState
 
 	// state is the lifecycle gate (starting → ready → draining).
 	state atomic.Int32
@@ -132,9 +125,6 @@ type Server struct {
 	fenceMu sync.Mutex
 	// repl holds the follower's streaming state; nil on primaries.
 	repl *replState
-	// replayWindow is the configured replay-dedup ring bound (0 selects
-	// the default).
-	replayWindow int
 }
 
 // Roles (Server.role).
@@ -175,10 +165,6 @@ type Options struct {
 	// admin key). The follower serves reads, sheds writes with a hint
 	// to the primary, and becomes the primary on /v1/admin/promote.
 	ReplicateFrom string
-	// ReplayWindow bounds the per-tenant durable replay-dedup ring; 0
-	// means the default (4096). Primary and followers must agree — the
-	// ring is covered by the divergence digests.
-	ReplayWindow int
 	// ReplPoll is the follower's delay between stream polls when the
 	// primary is unreachable or idle; 0 means the default (250ms).
 	// Tests shorten it.
@@ -200,15 +186,14 @@ func newServer(pub *core.Publisher, reg *privacy.Registry, opts Options) *Server
 		maxInFlight = defaultMaxInFlight
 	}
 	s := &Server{
-		pub:          pub,
-		reg:          reg,
-		noise:        dist.NewStreamFromSeed(opts.NoiseSeed),
-		adminKey:     opts.AdminKey,
-		deltaCfg:     cfg,
-		deltaSeed:    opts.DeltaSeed,
-		replay:       newReplayCache(opts.ReplayWindow),
-		maxInFlight:  maxInFlight,
-		replayWindow: opts.ReplayWindow,
+		pub:         pub,
+		reg:         reg,
+		noise:       dist.NewStreamFromSeed(opts.NoiseSeed),
+		adminKey:    opts.AdminKey,
+		deltaCfg:    cfg,
+		deltaSeed:   opts.DeltaSeed,
+		replay:      newReplayCache(),
+		maxInFlight: maxInFlight,
 	}
 	// Every node starts at term 1 until recovery or a stream says
 	// otherwise; an in-memory server keeps it.
@@ -242,8 +227,8 @@ func New(pub *core.Publisher, reg *privacy.Registry, opts Options) *Server {
 // is a boot error — spend history under one privacy definition cannot
 // be reinterpreted under another. Changed budgets are honored (the
 // history is kept; an accountant restored over budget refuses further
-// charges). Recovered tenants absent from the configuration are
-// carried forward untouched.
+// charges). Recovered tenants absent from the configuration stay in
+// the state untouched.
 func Open(pub *core.Publisher, reg *privacy.Registry, opts Options) (*Server, error) {
 	s := newServer(pub, reg, opts)
 	if opts.StateDir == "" {
@@ -256,11 +241,11 @@ func Open(pub *core.Publisher, reg *privacy.Registry, opts Options) (*Server, er
 	if opts.ReplicateFrom != "" {
 		return openFollower(s, opts)
 	}
-	pers, st, err := openState(opts.StateDir, opts.ReplayWindow)
+	pers, err := openState(opts.StateDir)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.adopt(pers, st); err != nil {
+	if err := s.adopt(pers); err != nil {
 		pers.store.Close()
 		return nil, err
 	}
@@ -268,68 +253,61 @@ func Open(pub *core.Publisher, reg *privacy.Registry, opts Options) (*Server, er
 	return s, nil
 }
 
-// adopt takes ownership of a recovered (or mirrored) persistent
-// state: replay the dataset lineage the publisher has not yet
-// absorbed, restore every configured tenant's accountant
-// bit-identically, reconcile ledgers to the publisher's epoch, attach
-// the journal, establish the fencing term, and compact into a fresh
-// snapshot (which also attaches the digest shadow). Boot recovery and
-// follower promotion are the same operation — a node assuming the
-// primary role over a state it trusts.
-func (s *Server) adopt(pers *Persistence, st *persistentState) error {
-	// Replay the dataset lineage: regenerate each not-yet-absorbed
-	// quarter's delta from its seed and advance. Generation and Advance
-	// are deterministic, so the publisher lands on the exact snapshot
-	// chain the recorded history served. (At boot the publisher is at
-	// epoch 0 and replays everything; at promotion the follower already
-	// advanced through the stream and this is a no-op.)
-	for q := s.pub.Epoch(); q < len(st.QuarterSeeds); q++ {
-		dl, err := lodes.GenerateDelta(s.pub.Dataset(), s.deltaCfg, dist.NewStreamFromSeed(st.QuarterSeeds[q]))
+// replayLineage advances the publisher through every recorded quarter
+// it has not yet absorbed, regenerating each delta from its seed.
+// Generation and Advance are deterministic, so the publisher lands on
+// the exact snapshot chain the recorded history served. The caller
+// must be the state's only writer (boot, promotion, or the follower's
+// replication loop).
+func (s *Server) replayLineage() error {
+	seeds := s.persist.state.QuarterSeeds
+	for q := s.pub.Epoch(); q < len(seeds); q++ {
+		dl, err := lodes.GenerateDelta(s.pub.Dataset(), s.deltaCfg, dist.NewStreamFromSeed(seeds[q]))
+		if err == nil {
+			err = s.pub.Advance(dl)
+		}
 		if err != nil {
-			return fmt.Errorf("server: recovery quarter %d: %w", q, err)
+			return fmt.Errorf("server: replaying quarter %d: %w", q, err)
 		}
-		if err := s.pub.Advance(dl); err != nil {
-			return fmt.Errorf("server: recovery quarter %d: %w", q, err)
-		}
+	}
+	return nil
+}
+
+// adopt takes ownership of a recovered (or mirrored) state: replay the
+// dataset lineage the publisher has not yet absorbed, restore every
+// configured tenant's accountant, seq counter and replay ring
+// bit-identically, attach the journal, bring every ledger to the
+// publisher's epoch through it, establish the fencing term, and
+// compact into a fresh snapshot. Boot recovery and follower promotion
+// are the same operation — a node assuming the primary role over a
+// state it trusts.
+func (s *Server) adopt(pers *Persistence) error {
+	s.persist = pers
+	st := pers.state
+	if err := s.replayLineage(); err != nil {
+		return err
 	}
 	s.advMu.Lock()
 	s.quartersAbsorbed = len(st.QuarterSeeds)
-	s.quarterSeeds = append([]int64(nil), st.QuarterSeeds...)
 	s.advMu.Unlock()
 
-	// Restore every recovered tenant onto its configured accountant.
-	for name, ts := range st.Tenants {
-		t, ok := s.reg.Tenant(name)
+	for _, t := range s.reg.Tenants() {
+		ts, ok := st.Tenants[t.Name]
 		if !ok {
-			if s.extraTenants == nil {
-				s.extraTenants = make(map[string]*tenantState)
-			}
-			s.extraTenants[name] = ts
 			continue
 		}
 		def, alpha := t.Acct.Def()
 		if def != ts.Def || alpha != ts.Alpha {
 			return fmt.Errorf("server: tenant %q recovered under %v(alpha=%g) but configured as %v(alpha=%g): spend history cannot change privacy definition",
-				name, ts.Def, ts.Alpha, def, alpha)
+				t.Name, ts.Def, ts.Alpha, def, alpha)
 		}
 		if err := t.Acct.Restore(ts.SpentEps, ts.SpentDelta, ts.Releases, ts.Ledger); err != nil {
-			return fmt.Errorf("server: tenant %q: %w", name, err)
+			return fmt.Errorf("server: tenant %q: %w", t.Name, err)
 		}
 		ctr := new(atomic.Int64)
 		ctr.Store(ts.NextSeq)
-		s.seqs.Store(name, ctr)
-		s.replay.seed(name, ts.Recent)
-	}
-
-	// Reconcile: a crash can land between the dataset advance record
-	// and some tenants' ledger advances. Fast-forward every ledger to
-	// the publisher's epoch (not journaled — recovery re-derives this
-	// from the lineage), so an advance is atomic-on-recovery: it either
-	// completed for all tenants or completes now.
-	for _, t := range s.reg.Tenants() {
-		for t.Acct.Epoch() < s.pub.Epoch() {
-			t.Acct.AdvanceEpoch()
-		}
+		s.seqs.Store(t.Name, ctr)
+		s.replay.seed(t.Name, ts.Recent)
 	}
 
 	// From here every charge is write-ahead: registration records for
@@ -337,109 +315,49 @@ func (s *Server) adopt(pers *Persistence, st *persistentState) error {
 	if err := s.reg.AttachJournal(pers); err != nil {
 		return fmt.Errorf("server: attaching journal: %w", err)
 	}
-	s.persist = pers
+
+	// Reconcile: a crash can land between the dataset advance record
+	// and some tenants' ledger advances, and a tenant new to the
+	// configuration starts at epoch 0. Every ledger catches up to the
+	// publisher's epoch through the journal, like any other advance, so
+	// an advance is atomic-on-recovery: it either completed for all
+	// tenants or completes now.
+	for _, t := range s.reg.Tenants() {
+		for t.Acct.Epoch() < s.pub.Epoch() {
+			if _, err := t.Acct.AdvanceEpochLogged(); err != nil {
+				return fmt.Errorf("server: reconciling tenant %q: %w", t.Name, err)
+			}
+		}
+	}
 
 	// Establish the fencing term. A fresh history starts at term 1 and
 	// journals it; a recovered one keeps its recorded term — including
 	// the fenced flag, so a deposed primary stays deposed across
 	// restarts until an operator promotes it.
-	s.fenced.Store(st.Fenced)
-	term := st.Term
-	if term == 0 {
-		term = 1
-		if err := pers.LogTerm(term); err != nil {
+	if st.Term == 0 {
+		if err := pers.LogTerm(1); err != nil {
 			return fmt.Errorf("server: establishing term: %w", err)
 		}
-		st.Term = term
 	}
-	s.term.Store(term)
+	s.term.Store(st.Term)
+	s.fenced.Store(st.Fenced)
 
 	// Fold everything into a fresh snapshot so the replayed log is
-	// compacted away and the next boot starts from this state. Always
-	// the primary form: adopt is the act of assuming the primary role.
-	if err := s.compactPrimary(); err != nil {
+	// compacted away and the next boot starts from this state.
+	if err := pers.compact(); err != nil {
 		return fmt.Errorf("server: boot compaction: %w", err)
 	}
 	return nil
 }
 
-// snapshotState assembles the full persistent state from the live
-// server: the dataset lineage, every registered tenant's accounting
-// (bit-exact copies of the accountant's floats), sequence counters,
-// replay identities, and any carried-forward unconfigured tenants.
-func (s *Server) snapshotState() *persistentState {
-	st := newPersistentState()
-	st.window = s.replayWindow
-	st.Term = s.term.Load()
-	st.Fenced = s.fenced.Load()
-	s.advMu.Lock()
-	st.QuarterSeeds = append([]int64(nil), s.quarterSeeds...)
-	s.advMu.Unlock()
-	for name, ts := range s.extraTenants {
-		st.Tenants[name] = ts
-	}
-	for _, t := range s.reg.Tenants() {
-		def, alpha := t.Acct.Def()
-		beps, bdelta := t.Acct.Budget()
-		spent := t.Acct.Spent()
-		var nextSeq int64
-		if v, ok := s.seqs.Load(t.Name); ok {
-			nextSeq = v.(*atomic.Int64).Load()
-		}
-		st.Tenants[t.Name] = &tenantState{
-			Def: def, Alpha: alpha,
-			BudgetEps: beps, BudgetDelta: bdelta,
-			SpentEps: spent.Eps, SpentDelta: spent.Delta,
-			Releases: t.Acct.Releases(),
-			Ledger:   t.Acct.SpendByEpoch(),
-			NextSeq:  nextSeq,
-			Recent:   s.replay.snapshot(t.Name),
-		}
-	}
-	return st
-}
-
-// Compact folds the current state into a fresh snapshot and rotates
-// the log, then re-roots the digest shadow on the exact bytes written
-// — every digest chain is anchored at a snapshot both a recovering
-// process and a bootstrapping follower decode identically. No-op
-// without persistence. Like wal.Store.Snapshot, this is a
-// quiescent-point operation (boot, drain, promote).
-func (s *Server) Compact() error {
-	if s.persist == nil {
-		return nil
-	}
-	if s.role.Load() == roleFollower {
-		// The follower's mirror is itself the log-ordered state; no
-		// digest shadow to re-root (followers verify shipped digests,
-		// they never emit their own).
-		return s.persist.store.Snapshot(s.repl.encodeState())
-	}
-	return s.compactPrimary()
-}
-
-func (s *Server) compactPrimary() error {
-	b := encodeSnapshot(s.snapshotState())
-	if err := s.persist.store.Snapshot(b); err != nil {
-		return err
-	}
-	shadow, err := decodeSnapshot(b)
-	if err != nil {
-		return fmt.Errorf("server: compaction round-trip: %w", err)
-	}
-	shadow.window = s.replayWindow
-	s.persist.setShadow(shadow)
-	return nil
-}
-
 // closePersistent compacts and closes the accounting store; the
 // shutdown path calls it after the drain, when no request can be
-// mid-charge.
+// mid-charge (and a follower's replication loop has stopped).
 func (s *Server) closePersistent() error {
 	if s.persist == nil {
 		return nil
 	}
-	err := s.Compact()
+	err := s.persist.compact()
 	if cerr := s.persist.store.Close(); err == nil {
 		err = cerr
 	}

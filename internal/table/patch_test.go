@@ -70,8 +70,9 @@ func patchQueries(s *Schema) []*Query {
 
 // checkPatchDifferential drives one (base, delta) pair through the
 // view kernel and pins every query's patched truth against the cold
-// rebuild and the scalar reference engine.
-func checkPatchDifferential(t *testing.T, er *entityRows, mutate func() (map[int32]bool, map[int32]int32), label string) {
+// rebuild and the scalar reference engine. It returns each view's
+// PatchStats, in patchQueries order.
+func checkPatchDifferential(t *testing.T, er *entityRows, mutate func() (map[int32]bool, map[int32]int32), label string) []PatchStats {
 	t.Helper()
 	base := er.table()
 	baseIx := base.Index()
@@ -95,6 +96,7 @@ func checkPatchDifferential(t *testing.T, er *entityRows, mutate func() (map[int
 	}
 	rebuilt := BuildIndex(next)
 	kp := keptSlice(ids, kept)
+	stats := make([]PatchStats, len(views))
 	for k, v := range views {
 		m, st, err := applyPatch(v, baseIx, merged, ids, kp)
 		if err != nil {
@@ -108,6 +110,7 @@ func checkPatchDifferential(t *testing.T, er *entityRows, mutate func() (map[int
 		if st.RescanCells > st.PatchedCells {
 			t.Fatalf("%s: stats claim %d rescanned of %d patched cells", label, st.RescanCells, st.PatchedCells)
 		}
+		stats[k] = st
 		// A no-op delta on the patched view returns the same truth.
 		again, st2, err := applyPatch(v, merged, merged, nil, nil)
 		if err != nil {
@@ -117,6 +120,7 @@ func checkPatchDifferential(t *testing.T, er *entityRows, mutate func() (map[int
 			t.Fatalf("%s: empty Apply changed the truth", label)
 		}
 	}
+	return stats
 }
 
 func TestPatchPureAdds(t *testing.T) {
@@ -154,10 +158,12 @@ func TestPatchMixedChurn(t *testing.T) {
 	}, "mixed-churn")
 }
 
-// TestPatchDethronesTopTwo engineers the hard case for the tracked
-// window: a cell dominated by two giant establishments loses both in
-// one delta, so the patched top pair must come from the cohort below
-// the cached floor — the targeted-rescan fallback path.
+// TestPatchDethronesTopTwo: a cell dominated by two giant
+// establishments loses both in one delta. The twenty one-row
+// contributors below them fill the rest of each cell's top-8 window
+// and tie its floor, so the new top pair resolves from the window
+// alone — no view takes the targeted rescan (TestPatchFallbackFactored
+// and TestPatchFallbackDemoted cover that path).
 func TestPatchDethronesTopTwo(t *testing.T) {
 	s := testSchema()
 	codes := []int{0, 0, 0} // all rows in one cell of every query
@@ -174,10 +180,15 @@ func TestPatchDethronesTopTwo(t *testing.T) {
 		er.order = append(er.order, e)
 	}
 	rng := rand.New(rand.NewSource(64))
-	checkPatchDifferential(t, er, func() (map[int32]bool, map[int32]int32) {
+	stats := checkPatchDifferential(t, er, func() (map[int32]bool, map[int32]int32) {
 		removals := map[int32]int{20: 50, 21: 50} // both giants die
 		return applyChurnKept(er, rng, removals, nil, 0)
 	}, "dethrone-top-two")
+	for k, st := range stats {
+		if st.RescanCells != 0 {
+			t.Fatalf("view %d rescanned %d cells; the window should resolve the new top pair", k, st.RescanCells)
+		}
+	}
 }
 
 // TestPatchChainedEpochs replays 8 epochs of random churn through one

@@ -45,8 +45,8 @@
 // head of the new log. Stage and Commit split Append's two halves —
 // ordering a record into the buffer versus waiting for its group
 // fsync — so a caller that must keep its own state in step with log
-// order (the replication shadow state) can do so without serializing
-// fsyncs.
+// order (the release service's durable accounting state) can do so
+// without serializing fsyncs.
 package wal
 
 import (
@@ -629,13 +629,6 @@ func (s *Store) Appends() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.appended
-}
-
-// Gen reports the current snapshot generation.
-func (s *Store) Gen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
 }
 
 // Durable reports the live log's durable frontier: the current

@@ -2,10 +2,12 @@
 # Boots ereeserve -demo on a local port, drives it with ereeload, and
 # fails unless every request comes back 200 and an admin epoch advance
 # lands while the server is warm. Then runs the durability leg: a
-# stateful server is killed with SIGKILL mid-life, restarted over the
-# same state directory, and must recover the exact spend and serve the
-# identical reissued workload from its replay cache without charging a
-# second time. CI runs this as the end-to-end smoke of the serving
+# stateful server is drained with SIGTERM and restarted, and must come
+# back with the same state digest and spend; it is then killed with
+# SIGKILL mid-life, restarted over the same state directory, and must
+# recover the exact spend and serve the identical reissued workload
+# from its replay cache without charging a second time. CI runs this
+# as the end-to-end smoke of the serving
 # stack: real binaries, real sockets, real JSON, real kill -9.
 #
 # Usage:
@@ -45,6 +47,11 @@ wait_ready() {
 tenant_spent() {
   curl -fs -H "X-API-Key: tenant-alpha-key" "$1/v1/stats" \
     | grep -o '"spent_eps": *[0-9.eE+-]*'
+}
+
+state_digest() {
+  curl -fs -H "X-API-Key: admin-demo-key" "$1/v1/replication/status" \
+    | grep -o '"state_digest": *"[0-9a-f]*"'
 }
 
 "$bin/ereeserve" -demo -addr "127.0.0.1:$port" &
@@ -91,6 +98,23 @@ dout="$(run_durable)"
 echo "$dout" | grep -q '"200": 200' || { echo "serve smoke: durable load failed" >&2; exit 1; }
 spent_before="$(tenant_spent "$dbase")"
 [[ -n "$spent_before" ]] || { echo "serve smoke: no spend reported" >&2; exit 1; }
+digest_before="$(state_digest "$dbase")"
+[[ -n "$digest_before" ]] || { echo "serve smoke: no state digest reported" >&2; exit 1; }
+
+# A graceful restart: the drain's snapshot is what replaying the log
+# gives, so the node comes back with the same state digest and spend.
+kill "$dpid"
+wait "$dpid" 2>/dev/null || { echo "serve smoke: durable server did not drain cleanly" >&2; exit 1; }
+"$bin/ereeserve" -demo -addr "127.0.0.1:$dport" -state-dir "$state" &
+dpid=$!
+pids+=("$dpid")
+wait_ready "$dbase"
+digest_restarted="$(state_digest "$dbase")"
+[[ "$digest_restarted" == "$digest_before" ]] \
+  || { echo "serve smoke: state digest changed across a graceful restart ($digest_before -> $digest_restarted)" >&2; exit 1; }
+spent_restarted="$(tenant_spent "$dbase")"
+[[ "$spent_restarted" == "$spent_before" ]] \
+  || { echo "serve smoke: spend changed across a graceful restart ($spent_before -> $spent_restarted)" >&2; exit 1; }
 
 kill -9 "$dpid"
 wait "$dpid" 2>/dev/null || true
