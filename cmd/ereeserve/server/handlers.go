@@ -247,10 +247,13 @@ func (s *Server) replayed(tenant string, seq int64, digest string) bool {
 	return s.replay.has(tenant, replayKey{Seq: seq, Digest: digest, Epoch: s.pub.Epoch()})
 }
 
-// noteCharged records a durably charged request identity for replay
-// detection. Called after the charge succeeded, which means its spend
-// record — tagged with exactly this identity — is on disk.
+// noteCharged records a charged request identity: it raises the
+// tenant's seq counter past seq (see nextSeq) and, on a durable server,
+// records the identity for replay detection. Called after the charge
+// succeeded, which means its spend record — tagged with exactly this
+// identity — is on disk.
 func (s *Server) noteCharged(tenant string, seq int64, digest string, epoch int) {
+	s.raiseSeq(tenant, seq)
 	if s.persist == nil {
 		return
 	}

@@ -183,6 +183,36 @@ func TestWireDeterminism(t *testing.T) {
 	}
 }
 
+// TestAssignedSeqSkipsNamedSeqs: a server-assigned seq never reuses one
+// already charged under a client-named seq. Charges under named seqs 0
+// and 1 raise the tenant's counter, so the next unnamed request answers
+// seq 2, on an in-memory server and a durable one alike.
+func TestAssignedSeqSkipsNamedSeqs(t *testing.T) {
+	opts := Options{NoiseSeed: 7}
+	_, mem := newTestServer(t, 1, opts, nil)
+	_, durable := openDurable(t, t.TempDir(), 1, opts, nil)
+	for _, hs := range []*httptest.Server{mem, durable} {
+		for seq := 0; seq < 2; seq++ {
+			body := fmt.Sprintf(`{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"seq":%d}`, seq)
+			if status, raw := do(t, hs, "POST", "/v1/release", keyAlpha, body); status != http.StatusOK {
+				t.Fatalf("named seq %d = %d: %s", seq, status, raw)
+			}
+		}
+		status, raw := do(t, hs, "POST", "/v1/release", keyAlpha,
+			`{"attrs":["ownership"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5}`)
+		if status != http.StatusOK {
+			t.Fatalf("unnamed release = %d: %s", status, raw)
+		}
+		var rel releaseJSON
+		if err := json.Unmarshal(raw, &rel); err != nil {
+			t.Fatal(err)
+		}
+		if rel.Seq != 2 {
+			t.Errorf("server-assigned seq = %d after named seqs 0 and 1, want 2", rel.Seq)
+		}
+	}
+}
+
 // TestRequestNoiseSeparation pins the digest half of the derivation:
 // two *different* requests issued under the same (tenant, seq) must
 // draw independent noise. Without the content digest, both would share

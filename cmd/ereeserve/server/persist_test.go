@@ -417,8 +417,8 @@ func TestOneHistoryOneSnapshot(t *testing.T) {
 		if err := json.Unmarshal(body, &rel); err != nil {
 			t.Fatal(err)
 		}
-		if rel.Seq != 2 {
-			t.Fatalf("drain=%v: post-reopen server-assigned seq = %d, want 2 (one past the highest charged seq)", drain, rel.Seq)
+		if rel.Seq != 3 {
+			t.Fatalf("drain=%v: post-reopen server-assigned seq = %d, want 3 (one past the highest charged seq)", drain, rel.Seq)
 		}
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {

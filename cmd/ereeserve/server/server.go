@@ -477,13 +477,37 @@ func (s *Server) requestStream(tenant string, seq int64, digest string) *dist.St
 	return s.tenantStream(tenant).SplitIndex("req", int(seq)).Split("body:" + digest)
 }
 
-// nextSeq assigns the tenant's next request sequence number.
-func (s *Server) nextSeq(name string) int64 {
+// seqCounter returns the tenant's counter: the next seq the server
+// assigns.
+func (s *Server) seqCounter(name string) *atomic.Int64 {
 	v, ok := s.seqs.Load(name)
 	if !ok {
 		v, _ = s.seqs.LoadOrStore(name, new(atomic.Int64))
 	}
-	return v.(*atomic.Int64).Add(1) - 1
+	return v.(*atomic.Int64)
+}
+
+// nextSeq assigns the tenant's next request sequence number. A charge
+// under a client-named seq raises the counter past it (raiseSeq), so an
+// assigned seq does not repeat one already charged. One collision is
+// left: a client naming, concurrently, a seq the counter has not reached
+// yet can be charged under the same seq as a request assigned it in
+// between.
+func (s *Server) nextSeq(name string) int64 {
+	return s.seqCounter(name).Add(1) - 1
+}
+
+// raiseSeq lifts the tenant's counter to seq+1 if it is lower: the rule
+// recovery applies to the log's NextSeq, so the live counter and the log
+// agree.
+func (s *Server) raiseSeq(name string, seq int64) {
+	c := s.seqCounter(name)
+	for {
+		cur := c.Load()
+		if cur > seq || c.CompareAndSwap(cur, seq+1) {
+			return
+		}
+	}
 }
 
 // resolveSeq picks the request's sequence number: the client's explicit

@@ -11,7 +11,8 @@ type TruncationResult struct {
 	// Theta is the degree bound applied.
 	Theta int
 	// Kept is the projected table containing only jobs at employers with
-	// degree <= Theta.
+	// degree <= Theta. A release's summary (core.Release.Truncation)
+	// leaves it nil.
 	Kept *table.Table
 	// RemovedEmployers is the number of employer nodes deleted.
 	RemovedEmployers int
@@ -26,6 +27,10 @@ type TruncationResult struct {
 // answered with Laplace(theta/ε) noise — at the cost of deleting every
 // large establishment, which is precisely the bias the paper's Finding 6
 // measures.
+//
+// Truncate copies the table. Releases compute the same truncated
+// marginal without a copy (table.Index.ComputeTruncated), and Truncate
+// is the oracle that scan is tested against.
 func Truncate(t *table.Table, theta int) (*TruncationResult, error) {
 	if theta < 1 {
 		return nil, fmt.Errorf("bipartite: truncation threshold must be >= 1, got %d", theta)

@@ -105,7 +105,10 @@ type Release struct {
 	Loss privacy.Loss
 	// MechanismName records the concrete mechanism and parameters.
 	MechanismName string
-	// Truncation is set for Truncated Laplace releases.
+	// Truncation is set for Truncated Laplace releases: θ and the
+	// employers and jobs the truncation removed. Its Kept table is nil:
+	// the truncated counts come from a θ-filtered scan of the snapshot's
+	// index, and no truncated table is ever built.
 	Truncation *bipartite.TruncationResult
 }
 
@@ -362,12 +365,17 @@ func (sn *epochSnapshot) release(pr prepared, s *dist.Stream) (*Release, error) 
 
 	rel := &Release{Epoch: sn.epoch, Query: entry.q, Truth: entry.m, Loss: pr.loss}
 	if pr.cell == nil {
-		noisy, trunc, err := pr.trunc.ReleaseMarginal(sn.data.WorkerFull, entry.q, s)
+		// entry.q is in request order, so the filtered scan yields the
+		// truncated counts in the release's own cell numbering.
+		theta := pr.trunc.Theta
+		m, tr, err := sn.data.WorkerFull.Index().ComputeTruncated(entry.q, theta)
 		if err != nil {
 			return nil, err
 		}
-		rel.Noisy = noisy
-		rel.Truncation = trunc
+		if rel.Noisy, err = pr.trunc.ReleaseCounts(m.Counts, s); err != nil {
+			return nil, err
+		}
+		rel.Truncation = &bipartite.TruncationResult{Theta: theta, RemovedEmployers: tr.RemovedGroups, RemovedEdges: tr.RemovedRows}
 		rel.MechanismName = pr.trunc.Name()
 		return rel, nil
 	}

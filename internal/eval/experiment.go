@@ -405,7 +405,9 @@ type TruncatedPoint struct {
 }
 
 // RunTruncatedGrid evaluates the Truncated Laplace baseline over
-// (θ, ε) for Workload 1, producing the data behind Finding 6.
+// (θ, ε) for the attribute set, producing the data behind Finding 6.
+// Each θ's truncated marginal is one θ-filtered scan of the dataset's
+// index; every (ε, trial) draws only its noise.
 func (h *Harness) RunTruncatedGrid(attrs []string, thetas []int, epsGrid []float64) ([]TruncatedPoint, error) {
 	marg, err := h.Marginal(attrs)
 	if err != nil {
@@ -416,34 +418,36 @@ func (h *Harness) RunTruncatedGrid(attrs []string, thetas []int, epsGrid []float
 		return nil, err
 	}
 	sdlL1 := L1(sdlRel, marg.Counts)
+	ix := h.Data.WorkerFull.Index()
 	var points []TruncatedPoint
 	for _, theta := range thetas {
+		truncated, tr, err := ix.ComputeTruncated(marg.Query, theta)
+		if err != nil {
+			return nil, err
+		}
 		for _, eps := range epsGrid {
 			m, err := mech.NewTruncatedLaplace(eps, theta)
 			if err != nil {
 				return nil, err
 			}
 			var l1Sum, spSum float64
-			var removedEmp, removedEdges int
 			label := fmt.Sprintf("trunc/t=%d/e=%g", theta, eps)
 			for trial := 0; trial < h.Trials; trial++ {
 				stream := h.seed.Split(label).SplitIndex("trial", trial)
-				noisy, res, err := m.ReleaseMarginal(h.Data.WorkerFull, marg.Query, stream)
+				noisy, err := m.ReleaseCounts(truncated.Counts, stream)
 				if err != nil {
 					return nil, err
 				}
 				l1Sum += L1(noisy, marg.Counts)
 				spSum += Spearman(noisy, sdlRel)
-				removedEmp = res.RemovedEmployers
-				removedEdges = res.RemovedEdges
 			}
 			n := float64(h.Trials)
 			points = append(points, TruncatedPoint{
 				Theta: theta, Eps: eps,
 				L1Ratio:          l1Sum / n / sdlL1,
 				Spearman:         spSum / n,
-				RemovedEmployers: removedEmp,
-				RemovedEdges:     removedEdges,
+				RemovedEmployers: tr.RemovedGroups,
+				RemovedEdges:     tr.RemovedRows,
 			})
 		}
 	}

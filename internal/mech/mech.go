@@ -202,8 +202,7 @@ func ReleaseCellsParallel(m CellMechanism, cells []CellInput, parent *dist.Strea
 type PureLaplace struct {
 	Eps         float64
 	Sensitivity float64
-	// label overrides the default name, used by EdgeLaplace and
-	// TruncatedLaplace wrappers.
+	// label overrides the default name; NewEdgeLaplace sets it.
 	label string
 }
 
@@ -215,7 +214,26 @@ func NewPureLaplace(eps, sensitivity float64) (PureLaplace, error) {
 	if !(sensitivity > 0) {
 		return PureLaplace{}, fmt.Errorf("mech: Laplace requires sensitivity > 0, got %v", sensitivity)
 	}
+	if err := checkLaplaceScale("Laplace", sensitivity/eps); err != nil {
+		return PureLaplace{}, err
+	}
 	return PureLaplace{Eps: eps, Sensitivity: sensitivity}, nil
+}
+
+// maxLaplaceScale is the largest Laplace scale b a mechanism accepts.
+// The sampler's uniform draw lies in [2⁻⁵³, 1 − 2⁻⁵³], so no draw is
+// larger in magnitude than ln(2⁵²)·b ≈ 36.04·b; keeping that under half
+// the largest float64 keeps any count below 2⁶³ plus its noise finite.
+// The bound depends on the parameters alone, never on the data.
+const maxLaplaceScale = math.MaxFloat64 / 2 / (52 * math.Ln2)
+
+// checkLaplaceScale refuses a noise scale whose draws could overflow
+// float64 (an infinite or NaN scale included).
+func checkLaplaceScale(name string, b float64) error {
+	if !(b <= maxLaplaceScale) {
+		return fmt.Errorf("mech: %s noise scale %g exceeds %g, where a draw could overflow float64", name, b, float64(maxLaplaceScale))
+	}
+	return nil
 }
 
 // Name identifies the mechanism.

@@ -460,3 +460,34 @@ func TestTruncatedLaplaceValidation(t *testing.T) {
 		t.Errorf("noise L1 = %v, want 50", m.NoiseExpectedL1())
 	}
 }
+
+// TestLaplaceScaleBound: the Laplace mechanisms refuse a noise scale
+// whose draws could overflow float64, and at the largest accepted scale
+// the most extreme draw the sampler can make, added to a count just
+// below 2⁶³, is still finite.
+func TestLaplaceScaleBound(t *testing.T) {
+	if _, err := NewEdgeLaplace(1e-320); err == nil {
+		t.Error("edge-laplace at eps=1e-320 (infinite scale) accepted")
+	}
+	if _, err := NewPureLaplace(1e-300, 1e10); err == nil {
+		t.Error("Laplace at scale 1e310 accepted")
+	}
+	if _, err := NewTruncatedLaplace(1e-320, 10); err == nil {
+		t.Error("truncated-laplace at eps=1e-320 accepted")
+	}
+	if _, err := NewTruncatedLaplace(1e-300, 1_000_000_000); err == nil {
+		t.Error("truncated-laplace at scale 1e309 accepted")
+	}
+	if _, err := NewPureLaplace(1, maxLaplaceScale); err != nil {
+		t.Errorf("Laplace at the largest accepted scale refused: %v", err)
+	}
+	if _, err := NewPureLaplace(1, math.Nextafter(maxLaplaceScale, math.Inf(1))); err == nil {
+		t.Error("Laplace just past the largest accepted scale accepted")
+	}
+	l := dist.NewLaplace(maxLaplaceScale)
+	for _, p := range []float64{0x1p-53, 1 - 0x1p-53} {
+		if v := float64(math.MaxInt64) + l.Quantile(p); math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Errorf("count 2^63 + draw at p=%v = %v, want finite", p, v)
+		}
+	}
+}

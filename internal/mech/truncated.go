@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/dist"
-	"repro/internal/table"
 )
 
 // TruncatedLaplace is the node-differential-privacy baseline of Section 6
@@ -15,10 +14,10 @@ import (
 // query has node sensitivity θ.
 //
 // Unlike the cell mechanisms, truncation changes the counts themselves,
-// so the mechanism operates on a whole marginal: it filters the job
-// table, recomputes the marginal, and perturbs the truncated counts. The
-// error therefore has two components the paper's Finding 6 teases apart:
-// bias from deleting large establishments (independent of ε) and Laplace
+// so the mechanism perturbs a whole marginal of truncated counts, which
+// the caller computes (table.Index.ComputeTruncated). The error
+// therefore has two components the paper's Finding 6 teases apart: bias
+// from deleting large establishments (independent of ε) and Laplace
 // noise (shrinking with ε).
 type TruncatedLaplace struct {
 	Eps   float64
@@ -33,6 +32,9 @@ func NewTruncatedLaplace(eps float64, theta int) (TruncatedLaplace, error) {
 	if theta < 1 {
 		return TruncatedLaplace{}, fmt.Errorf("mech: TruncatedLaplace requires theta >= 1, got %d", theta)
 	}
+	if err := checkLaplaceScale("TruncatedLaplace", float64(theta)/eps); err != nil {
+		return TruncatedLaplace{}, err
+	}
 	return TruncatedLaplace{Eps: eps, Theta: theta}, nil
 }
 
@@ -41,28 +43,19 @@ func (m TruncatedLaplace) Name() string {
 	return fmt.Sprintf("truncated-laplace(eps=%g,theta=%d)", m.Eps, m.Theta)
 }
 
-// ReleaseMarginal truncates the job table at θ, recomputes the marginal,
-// and adds Laplace(θ/ε) noise to every cell. It also returns the
-// truncation summary so callers can report the bias source.
-func (m TruncatedLaplace) ReleaseMarginal(t *table.Table, q *table.Query, s *dist.Stream) ([]float64, *bipartite.TruncationResult, error) {
+// ReleaseCounts adds Laplace(θ/ε) noise to every cell of a θ-truncated
+// marginal's counts. Cell c draws from s.SplitIndex("trunc-cell", c).
+func (m TruncatedLaplace) ReleaseCounts(truncated []int64, s *dist.Stream) ([]float64, error) {
 	if !(m.Eps > 0) || m.Theta < 1 {
-		return nil, nil, fmt.Errorf("mech: TruncatedLaplace not initialized; use NewTruncatedLaplace")
+		return nil, fmt.Errorf("mech: TruncatedLaplace not initialized; use NewTruncatedLaplace")
 	}
-	res, err := bipartite.Truncate(t, m.Theta)
-	if err != nil {
-		return nil, nil, err
-	}
-	truncated := table.Compute(res.Kept, q)
-	// Batch-sample the per-cell noise into the output, then shift by the
-	// truncated counts: cell c still draws from SplitIndex("trunc-cell", c),
-	// so the release is bit-identical to the scalar loop this replaces.
-	noisy := make([]float64, q.NumCells())
+	noisy := make([]float64, len(truncated))
 	scale := bipartite.SensitivityAfterTruncation(m.Theta) / m.Eps
 	dist.FillSplit(noisy, dist.NewLaplace(scale), s, "trunc-cell", 0)
-	for cell := range noisy {
-		noisy[cell] = float64(truncated.Counts[cell]) + noisy[cell]
+	for cell, c := range truncated {
+		noisy[cell] = float64(c) + noisy[cell]
 	}
-	return noisy, res, nil
+	return noisy, nil
 }
 
 // NoiseExpectedL1 returns the per-cell expected L1 error from the Laplace

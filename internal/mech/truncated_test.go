@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/dist"
 	"repro/internal/table"
 )
@@ -21,13 +22,25 @@ func truncTable(sizes []int) (*table.Table, *table.Query) {
 	return tab, table.MustNewQuery(s, "place")
 }
 
+// releaseTruncated releases q over tab the way the oracle defines it:
+// bipartite.Truncate's projected copy, its marginal, then the mechanism's
+// noise on those counts.
+func releaseTruncated(m TruncatedLaplace, tab *table.Table, q *table.Query, s *dist.Stream) ([]float64, *bipartite.TruncationResult, error) {
+	res, err := bipartite.Truncate(tab, m.Theta)
+	if err != nil {
+		return nil, nil, err
+	}
+	noisy, err := m.ReleaseCounts(table.Compute(res.Kept, q).Counts, s)
+	return noisy, res, err
+}
+
 func TestTruncatedLaplaceRemovesLargeEstablishments(t *testing.T) {
 	tab, q := truncTable([]int{5, 8, 2000})
 	m, err := NewTruncatedLaplace(4.0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, res, err := m.ReleaseMarginal(tab, q, dist.NewStreamFromSeed(1))
+	noisy, res, err := releaseTruncated(m, tab, q, dist.NewStreamFromSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +67,7 @@ func TestTruncatedLaplaceBiasDoesNotShrinkWithEps(t *testing.T) {
 		var sum float64
 		parent := dist.NewStreamFromSeed(2)
 		for i := 0; i < trials; i++ {
-			noisy, _, err := m.ReleaseMarginal(tab, q, parent.SplitIndex("t", i))
+			noisy, _, err := releaseTruncated(m, tab, q, parent.SplitIndex("t", i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +95,7 @@ func TestTruncatedLaplaceNoBiasWhenThetaLarge(t *testing.T) {
 	parent := dist.NewStreamFromSeed(3)
 	var sum float64
 	for i := 0; i < trials; i++ {
-		noisy, res, err := m.ReleaseMarginal(tab, q, parent.SplitIndex("t", i))
+		noisy, res, err := releaseTruncated(m, tab, q, parent.SplitIndex("t", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +114,7 @@ func TestTruncatedLaplaceNoBiasWhenThetaLarge(t *testing.T) {
 
 func TestTruncatedLaplaceZeroValue(t *testing.T) {
 	var zero TruncatedLaplace
-	tab, q := truncTable([]int{1})
-	if _, _, err := zero.ReleaseMarginal(tab, q, dist.NewStreamFromSeed(1)); err == nil {
+	if _, err := zero.ReleaseCounts([]int64{1}, dist.NewStreamFromSeed(1)); err == nil {
 		t.Error("zero-value TruncatedLaplace released")
 	}
 }
@@ -113,11 +125,11 @@ func TestTruncatedLaplaceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := m.ReleaseMarginal(tab, q, dist.NewStreamFromSeed(4))
+	a, _, err := releaseTruncated(m, tab, q, dist.NewStreamFromSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := m.ReleaseMarginal(tab, q, dist.NewStreamFromSeed(4))
+	b, _, err := releaseTruncated(m, tab, q, dist.NewStreamFromSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}

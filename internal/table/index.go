@@ -1,6 +1,8 @@
 package table
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -51,9 +53,9 @@ type Index struct {
 	// on the first query that touches the attribute, and each column has
 	// its own once-guard: a first-touch gather of one attribute (an O(n)
 	// pass) never serializes workers resolving a different, already
-	// materialized attribute. A throwaway index — the node-DP baseline
-	// computes one marginal over a freshly truncated table per release —
-	// only pays the gather for the columns it actually queries.
+	// materialized attribute. An index over a table that is not
+	// entity-sorted pays the gather only for the attributes its queries
+	// touch; the rest of the table's columns are never copied.
 	cols []lazyCol
 	// maxGroup is the largest group size, for sizing per-worker scratch.
 	maxGroup int
@@ -367,8 +369,10 @@ func (ix *Index) getScratch(qs []*Query, maxSize int, detailed bool, rows int) *
 // entity groups. All queries share the pass: a worker evaluates every
 // query over its shard (streaming each query's materialized columns
 // sequentially) before the fixed-order merge, so a workload of several
-// marginals pays one shard assignment and one scratch checkout.
-func (ix *Index) computeQueries(qs []*Query, detailed bool) ([]*Marginal, [][]CellEntityCount) {
+// marginals pays one shard assignment and one scratch checkout. Groups
+// of more than limit rows are skipped (see ComputeTruncated); an
+// unfiltered scan passes math.MaxInt.
+func (ix *Index) computeQueries(qs []*Query, detailed bool, limit int) ([]*Marginal, [][]CellEntityCount) {
 	maxSize := 0
 	for _, q := range qs {
 		if ix.t.Schema() != q.schema {
@@ -400,7 +404,7 @@ func (ix *Index) computeQueries(qs []*Query, detailed bool) ([]*Marginal, [][]Ce
 	if len(shards) == 1 {
 		// Single shard: scan inline — no goroutine, no synchronization.
 		states[0] = ix.getScratch(qs, maxSize, detailed, ix.shardRows(shards[0]))
-		ix.scanShard(shards[0][0], shards[0][1], qs, plans, states[0], detailed)
+		ix.scanShard(shards[0][0], shards[0][1], qs, plans, states[0], detailed, limit)
 	} else {
 		var wg sync.WaitGroup
 		for w := range shards {
@@ -408,7 +412,7 @@ func (ix *Index) computeQueries(qs []*Query, detailed bool) ([]*Marginal, [][]Ce
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				ix.scanShard(shards[w][0], shards[w][1], qs, plans, states[w], detailed)
+				ix.scanShard(shards[w][0], shards[w][1], qs, plans, states[w], detailed, limit)
 			}(w)
 		}
 		wg.Wait()
@@ -498,14 +502,18 @@ func (ix *Index) shardGroups(workers int) [][2]int {
 // order is first-touch order — sums, top-two tracking and entity counts
 // are order-free, and the detailed histogram is sorted afterwards, so
 // the results are identical to the sorted-runs kernel this replaces.
-// plans[k] holds query k's index-order column views.
-func (ix *Index) scanShard(gLo, gHi int, qs []*Query, plans [][][]uint16, sc *scanScratch, detailed bool) {
+// plans[k] holds query k's index-order column views. Groups of more
+// than limit rows are skipped whole.
+func (ix *Index) scanShard(gLo, gHi int, qs []*Query, plans [][][]uint16, sc *scanScratch, detailed bool, limit int) {
 	cells, touched := sc.cells, sc.touched
 	for k, q := range qs {
 		p := sc.ps[k]
 		cols := plans[k]
 		for g := gLo; g < gHi; g++ {
 			lo, hi := int(ix.starts[g]), int(ix.starts[g+1])
+			if hi-lo > limit {
+				continue
+			}
 			entity := ix.entities[g]
 			if hi-lo == 1 {
 				// Singleton group (entity-less rows, one-worker shops):
@@ -579,7 +587,7 @@ func scatterGroup(cells []int32, touched []int, cols [][]uint16, radices []int, 
 // Compute evaluates one query over the index.
 func (ix *Index) Compute(q *Query) *Marginal {
 	qs := [1]*Query{q}
-	ms, _ := ix.computeQueries(qs[:], false)
+	ms, _ := ix.computeQueries(qs[:], false, math.MaxInt)
 	return ms[0]
 }
 
@@ -588,7 +596,7 @@ func (ix *Index) ComputeAll(qs []*Query) []*Marginal {
 	if len(qs) == 0 {
 		return nil
 	}
-	ms, _ := ix.computeQueries(qs, false)
+	ms, _ := ix.computeQueries(qs, false, math.MaxInt)
 	return ms
 }
 
@@ -596,6 +604,48 @@ func (ix *Index) ComputeAll(qs []*Query) []*Marginal {
 // histogram sorted by (cell, entity).
 func (ix *Index) ComputeDetailed(q *Query) (*Marginal, []CellEntityCount) {
 	qs := [1]*Query{q}
-	ms, hs := ix.computeQueries(qs[:], true)
+	ms, hs := ix.computeQueries(qs[:], true, math.MaxInt)
 	return ms[0], hs[0]
+}
+
+// Truncation is what a θ-filtered scan leaves out: the entity groups of
+// more than θ rows and the rows they hold.
+type Truncation struct {
+	RemovedGroups int
+	RemovedRows   int
+}
+
+// ComputeTruncated evaluates one query over only the entities with at
+// most theta rows: the marginal of the θ-truncated table (the node-DP
+// projection of Section 6), computed without copying the table. An
+// entity's row count is its group length in the index, so the scan is
+// Compute's with every longer group skipped, and the result is
+// bit-identical to computing the marginal over a copy that keeps only
+// the short groups' rows. Every row must have an entity: an entity-less
+// row has no employer whose size could be bounded.
+func (ix *Index) ComputeTruncated(q *Query, theta int) (*Marginal, Truncation, error) {
+	if theta < 1 {
+		return nil, Truncation{}, fmt.Errorf("table: truncation threshold must be >= 1, got %d", theta)
+	}
+	if ix.hasEntityless() {
+		return nil, Truncation{}, fmt.Errorf("table: truncation needs an entity on every row")
+	}
+	var tr Truncation
+	for g := range ix.entities {
+		if n := int(ix.starts[g+1] - ix.starts[g]); n > theta {
+			tr.RemovedGroups++
+			tr.RemovedRows += n
+		}
+	}
+	qs := [1]*Query{q}
+	ms, _ := ix.computeQueries(qs[:], false, theta)
+	return ms[0], tr, nil
+}
+
+// hasEntityless reports whether the index holds entity-less rows. Their
+// singleton groups always come last (BuildIndex appends them after the
+// entity groups; the other constructors refuse them).
+func (ix *Index) hasEntityless() bool {
+	n := len(ix.entities)
+	return n > 0 && ix.entities[n-1] < 0
 }

@@ -52,10 +52,10 @@ func MergeIndex(base *Index, next *Table, touched []int32, touchedRows []int32) 
 			return nil, fmt.Errorf("table: MergeIndex entity %d has negative row count", e)
 		}
 	}
-	baseEnts := base.entities
-	if len(baseEnts) > 0 && baseEnts[len(baseEnts)-1] < 0 {
+	if base.hasEntityless() {
 		return nil, fmt.Errorf("table: MergeIndex base index has entity-less rows")
 	}
+	baseEnts := base.entities
 
 	ix := &Index{t: next, n: next.NumRows()}
 	ix.starts = make([]int32, 0, len(baseEnts)+len(touched)+1)
