@@ -21,7 +21,6 @@ import (
 	"repro/internal/mech"
 	"repro/internal/otm"
 	"repro/internal/privacy"
-	"repro/internal/pufferfish"
 	"repro/internal/qwi"
 	"repro/internal/sdl"
 	"repro/internal/smooth"
@@ -127,35 +126,6 @@ func BenchmarkFinding6TruncatedLaplace(b *testing.B) {
 		}
 		if len(pts) == 0 {
 			b.Fatal("no points")
-		}
-	}
-}
-
-// BenchmarkAblationGammaBudgetSplit sweeps Smooth Gamma's ε₁/ε₂ split to
-// show Algorithm 2's default (smallest valid ε₂) minimizes expected
-// error — the design-choice ablation DESIGN.md calls out.
-func BenchmarkAblationGammaBudgetSplit(b *testing.B) {
-	in := mech.CellInput{Count: 500, MaxContribution: 200}
-	def, err := mech.NewSmoothGamma(0.1, 2.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := def.Split().Eps2
-	extras := []float64{0, 0.2, 0.5, 1.0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best, bestErr := -1, 0.0
-		for j, extra := range extras {
-			m, err := mech.SmoothGammaWithSplit(0.1, 2.0, base+extra)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if e := m.ExpectedL1(in); best < 0 || e < bestErr {
-				best, bestErr = j, e
-			}
-		}
-		if best != 0 {
-			b.Fatal("default split no longer optimal")
 		}
 	}
 }
@@ -1351,62 +1321,6 @@ func BenchmarkQWIFlowRelease(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := qwi.ReleaseFlows(flows, m, dist.NewStreamFromSeed(int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPufferfishVerify measures the Bayes-factor verifier on the
-// employee-requirement universe.
-func BenchmarkPufferfishVerify(b *testing.B) {
-	m, err := mech.NewSmoothGamma(0.1, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	worlds := pufferfish.EmployeeWorlds(1000, 40, 0.5)
-	grid := pufferfish.DefaultGrid(worlds[0].Input, worlds[1].Input)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := pufferfish.MaxBayesFactor(m, worlds,
-			func(w pufferfish.World) bool { return w.Label == "in" },
-			func(w pufferfish.World) bool { return w.Label == "out" },
-			2, grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Satisfied {
-			b.Fatal("verification failed")
-		}
-	}
-}
-
-// BenchmarkTopKOverlap measures the ranked-list membership metric.
-func BenchmarkTopKOverlap(b *testing.B) {
-	s := dist.NewStreamFromSeed(32)
-	n := 2400
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = s.Float64()
-		y[i] = x[i] + 0.05*s.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eval.TopKOverlap(x, y, 50)
-	}
-}
-
-// BenchmarkKolmogorovSmirnov measures the sampler-validation test.
-func BenchmarkKolmogorovSmirnov(b *testing.B) {
-	l := dist.NewLaplace(1)
-	s := dist.NewStreamFromSeed(33)
-	sample := make([]float64, 10000)
-	for i := range sample {
-		sample[i] = l.Sample(s)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := dist.KolmogorovSmirnov(sample, l.CDF); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -655,7 +655,7 @@ func TestChaosFailover(t *testing.T) {
 			cfg := writeChaosConfig(t, dir)
 			primary := startChaos(t, cfg, filepath.Join(dir, "primary"), leg.crash)
 			follower := startChaos(t, cfg, filepath.Join(dir, "follower"), "",
-				"-replicate-from", "http://"+primary.addr, "-repl-poll", "25ms")
+				"-replicate-from", "http://"+primary.addr)
 
 			// The follower advertises its role on /readyz and sheds spend
 			// traffic with a hint to the primary.

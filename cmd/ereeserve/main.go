@@ -67,7 +67,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	addr := fs.String("addr", "", "override the configured listen address")
 	stateDir := fs.String("state-dir", "", "directory for durable accounting state (overrides the configured state_dir)")
 	replicateFrom := fs.String("replicate-from", "", "boot as a follower mirroring the primary at this base URL (overrides the configured replicate_from)")
-	replPoll := fs.Duration("repl-poll", 0, "follower poll interval for the primary's replication stream, 0 = default (250ms)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -119,7 +118,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		DeltaSeed:     cfg.DeltaSeed,
 		StateDir:      cfg.StateDir,
 		ReplicateFrom: cfg.ReplicateFrom,
-		ReplPoll:      *replPoll,
 	})
 	if err != nil {
 		return err

@@ -29,12 +29,12 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/cmd/ereeserve/config"
 	"repro/internal/privacy"
 	"repro/internal/wal"
 )
@@ -49,6 +49,16 @@ func (e *replFatalError) Unwrap() error { return e.err }
 
 func fatalRepl(err error) error { return &replFatalError{err} }
 
+const (
+	// streamWait is the follower's long-poll: the primary holds a stream
+	// request this long for new durable records before answering empty,
+	// and the follower polls again at once.
+	streamWait = 250 * time.Millisecond
+	// replRetryDelay is the follower's back-off after a failed
+	// replication request (primary unreachable or refusing).
+	replRetryDelay = 250 * time.Millisecond
+)
+
 // replState is a follower's replication machinery: the upstream
 // cursor and the streaming loop's lifecycle. The mirrored state itself
 // lives in the server's Persistence.
@@ -56,7 +66,6 @@ type replState struct {
 	upstream string
 	adminKey string
 	client   *http.Client
-	poll     time.Duration
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -94,15 +103,10 @@ func openFollower(s *Server, opts Options) (*Server, error) {
 	if t := pers.state.Term; t > 0 {
 		s.term.Store(t)
 	}
-	poll := opts.ReplPoll
-	if poll <= 0 {
-		poll = defaultReplPoll
-	}
 	s.repl = &replState{
 		upstream: strings.TrimRight(opts.ReplicateFrom, "/"),
 		adminKey: opts.AdminKey,
 		client:   &http.Client{Timeout: maxStreamWait + 15*time.Second},
-		poll:     poll,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -115,8 +119,9 @@ func openFollower(s *Server, opts Options) (*Server, error) {
 }
 
 // run is the replication loop: bootstrap when the cursor is invalid,
-// otherwise tail; back off rs.poll on transport errors and idle polls,
-// halt permanently on divergence.
+// otherwise tail. The stream's long-poll is the only wait between
+// polls; a failed request backs off replRetryDelay, and divergence
+// halts the loop permanently.
 func (rs *replState) run(s *Server) {
 	defer close(rs.done)
 	for {
@@ -125,36 +130,34 @@ func (rs *replState) run(s *Server) {
 			return
 		default:
 		}
-		progressed, err := rs.syncOnce(s)
-		if err != nil {
-			var fatal *replFatalError
-			if errors.As(err, &fatal) {
-				rs.markDiverged(s, err.Error())
-				log.Printf("ereeserve follower: DIVERGED from %s, halting replication: %v", rs.upstream, err)
-				return
-			}
-		}
-		if progressed && err == nil {
+		err := rs.syncOnce(s)
+		if err == nil {
 			continue
+		}
+		var fatal *replFatalError
+		if errors.As(err, &fatal) {
+			rs.markDiverged(s, err.Error())
+			log.Printf("ereeserve follower: DIVERGED from %s, halting replication: %v", rs.upstream, err)
+			return
 		}
 		select {
 		case <-rs.stop:
 			return
-		case <-time.After(rs.poll):
+		case <-time.After(replRetryDelay):
 		}
 	}
 }
 
-func (rs *replState) syncOnce(s *Server) (bool, error) {
+func (rs *replState) syncOnce(s *Server) error {
 	rs.mu.Lock()
 	synced := rs.synced
 	rs.mu.Unlock()
 	if !synced {
 		if err := rs.bootstrap(s); err != nil {
-			return false, err
+			return err
 		}
 		s.state.CompareAndSwap(stateStarting, stateReady)
-		return true, nil
+		return nil
 	}
 	return rs.streamOnce(s)
 }
@@ -190,38 +193,38 @@ func (rs *replState) bootstrap(s *Server) error {
 
 // streamOnce tails one batch from the cursor and mirrors it: local WAL
 // append first (durable before observed), then state application.
-func (rs *replState) streamOnce(s *Server) (bool, error) {
+func (rs *replState) streamOnce(s *Server) error {
 	rs.mu.Lock()
 	gen, off := rs.gen, rs.offset
 	rs.mu.Unlock()
 	q := url.Values{}
 	q.Set("gen", strconv.FormatUint(gen, 10))
 	q.Set("offset", strconv.FormatInt(off, 10))
-	q.Set("wait_ms", strconv.FormatInt(int64(rs.poll/time.Millisecond)+1, 10))
+	q.Set("wait_ms", strconv.FormatInt(streamWait.Milliseconds(), 10))
 	var resp replStreamJSON
 	if err := rs.get(s, "/v1/replication/stream", q, &resp); err != nil {
-		return false, err
+		return err
 	}
 	if resp.Compacted {
 		rs.mu.Lock()
 		rs.synced = false
 		rs.mu.Unlock()
-		return true, nil
+		return nil
 	}
 	if len(resp.Records) == 0 {
 		rs.mu.Lock()
 		rs.upstreamDurable = resp.DurableRecords
 		rs.mu.Unlock()
-		return false, nil
+		return nil
 	}
 	if err := s.persist.mirror(resp.Records); err != nil {
-		return false, fatalRepl(err)
+		return fatalRepl(err)
 	}
 	// Once per batch: dataset advances move the publisher, a higher
 	// recorded term moves the node's term. This loop is the state's only
 	// writer on a follower, so it reads the state without the lock.
 	if err := s.replayLineage(); err != nil {
-		return false, fatalRepl(err)
+		return fatalRepl(err)
 	}
 	if t := s.persist.state.Term; t > s.term.Load() {
 		s.term.Store(t)
@@ -231,7 +234,7 @@ func (rs *replState) streamOnce(s *Server) (bool, error) {
 	rs.applied += uint64(len(resp.Records))
 	rs.offset = resp.Next
 	rs.upstreamDurable = resp.DurableRecords
-	return true, nil
+	return nil
 }
 
 // get performs one authenticated replication request against the
@@ -330,41 +333,28 @@ func (s *Server) promoteFollower() error {
 	return nil
 }
 
-// followerStats renders /v1/stats from the mirrored state: a follower
-// has no live accountants (charges happen on the primary), so the
-// tenant's position is read from the Persistence state, under its
-// lock. The publisher's cache stats are this node's own — followers
-// serve their own reads.
-func (s *Server) followerStats(t *privacy.Tenant) statsJSON {
+// mirroredPosition reads the tenant's /v1/stats position from the
+// mirrored state, under its lock. A tenant the primary has not
+// journaled yet has spent nothing against its configured budget. The
+// follower evicts nothing from a replay ring of its own, so it reports
+// no evictions.
+func (s *Server) mirroredPosition(t *privacy.Tenant) tenantPosition {
 	p := s.persist
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	def, alpha := t.Acct.Def()
-	out := statsJSON{
-		Tenant:     t.Name,
-		Definition: config.DefinitionToken(def),
-		Alpha:      alpha,
-		Epoch:      s.pub.Epoch(),
+	ts, ok := p.state.Tenants[t.Name]
+	if !ok {
+		var pos tenantPosition
+		pos.remainingEps, pos.remainingDelta = t.Acct.Budget()
+		return pos
 	}
-	if ts, ok := p.state.Tenants[t.Name]; ok {
-		out.SpentEps = ts.SpentEps
-		out.SpentDelta = ts.SpentDelta
-		out.Releases = ts.Releases
-		out.RemainingEps = max(ts.BudgetEps-ts.SpentEps, 0)
-		out.RemainingDelta = max(ts.BudgetDelta-ts.SpentDelta, 0)
-		out.SpendByEpoch = make([]epochSpendJSON, len(ts.Ledger))
-		for i, e := range ts.Ledger {
-			out.SpendByEpoch[i] = epochSpendJSON{Epoch: e.Epoch, Eps: e.Eps, Delta: e.Delta, Releases: e.Releases}
-		}
-		out.ReplayCache = &replayCacheJSON{Capacity: replayWindow, Size: len(ts.Recent)}
-	} else {
-		beps, bdelta := t.Acct.Budget()
-		out.RemainingEps, out.RemainingDelta = beps, bdelta
-		out.SpendByEpoch = []epochSpendJSON{}
-		out.ReplayCache = &replayCacheJSON{Capacity: replayWindow}
+	return tenantPosition{
+		spentEps:       ts.SpentEps,
+		spentDelta:     ts.SpentDelta,
+		remainingEps:   ts.BudgetEps - ts.SpentEps,
+		remainingDelta: ts.BudgetDelta - ts.SpentDelta,
+		releases:       ts.Releases,
+		ledger:         slices.Clone(ts.Ledger),
+		replaySize:     len(ts.Recent),
 	}
-	for _, cs := range s.pub.CacheStatsByEpoch() {
-		out.Cache = append(out.Cache, cacheStatsJSON{Epoch: cs.Epoch, Hits: cs.Hits, Misses: cs.Misses, Patches: cs.Patches, Evictions: cs.Evictions})
-	}
-	return out
 }

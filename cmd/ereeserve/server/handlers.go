@@ -419,37 +419,53 @@ type cacheStatsJSON struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// handleStats serves GET /v1/stats. A follower has no live
-// accountants — charges happen on the primary — so it renders the
-// tenant's position from the mirrored state instead.
+// tenantPosition is a tenant's accounting position as /v1/stats
+// reports it.
+type tenantPosition struct {
+	spentEps, spentDelta         float64
+	remainingEps, remainingDelta float64
+	releases                     int
+	ledger                       []privacy.EpochSpend
+	replaySize                   int
+	replayEvictions              int64
+}
+
+// handleStats serves GET /v1/stats. A primary reads the tenant's
+// position from its live accountant. A follower has no live
+// accountants — charges happen on the primary — so it reads the
+// mirrored state instead; either way the body is rendered the same.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *privacy.Tenant) {
+	var pos tenantPosition
 	if s.role.Load() == roleFollower && s.repl != nil {
-		writeJSON(w, http.StatusOK, s.followerStats(t))
-		return
+		pos = s.mirroredPosition(t)
+	} else {
+		spent := t.Acct.Spent()
+		pos.spentEps, pos.spentDelta = spent.Eps, spent.Delta
+		pos.remainingEps, pos.remainingDelta = t.Acct.Remaining()
+		pos.releases = t.Acct.Releases()
+		pos.ledger = t.Acct.SpendByEpoch()
+		pos.replaySize, pos.replayEvictions = s.replay.stats(t.Name)
 	}
-	spent := t.Acct.Spent()
-	remEps, remDelta := t.Acct.Remaining()
-	ledger := t.Acct.SpendByEpoch()
+	def, alpha := t.Acct.Def()
 	out := statsJSON{
 		Tenant:         t.Name,
-		Definition:     config.DefinitionToken(spent.Def),
-		Alpha:          spent.Alpha,
-		SpentEps:       spent.Eps,
-		SpentDelta:     spent.Delta,
-		RemainingEps:   remEps,
-		RemainingDelta: remDelta,
-		Releases:       t.Acct.Releases(),
-		SpendByEpoch:   make([]epochSpendJSON, len(ledger)),
+		Definition:     config.DefinitionToken(def),
+		Alpha:          alpha,
+		SpentEps:       pos.spentEps,
+		SpentDelta:     pos.spentDelta,
+		RemainingEps:   pos.remainingEps,
+		RemainingDelta: pos.remainingDelta,
+		Releases:       pos.releases,
+		SpendByEpoch:   make([]epochSpendJSON, len(pos.ledger)),
 		Epoch:          s.pub.Epoch(),
 	}
-	for i, e := range ledger {
+	for i, e := range pos.ledger {
 		out.SpendByEpoch[i] = epochSpendJSON{Epoch: e.Epoch, Eps: e.Eps, Delta: e.Delta, Releases: e.Releases}
 	}
 	for _, cs := range s.pub.CacheStatsByEpoch() {
 		out.Cache = append(out.Cache, cacheStatsJSON{Epoch: cs.Epoch, Hits: cs.Hits, Misses: cs.Misses, Patches: cs.Patches, Evictions: cs.Evictions})
 	}
-	size, evictions := s.replay.stats(t.Name)
-	out.ReplayCache = &replayCacheJSON{Capacity: replayWindow, Size: size, Evictions: evictions}
+	out.ReplayCache = &replayCacheJSON{Capacity: replayWindow, Size: pos.replaySize, Evictions: pos.replayEvictions}
 	writeJSON(w, http.StatusOK, out)
 }
 

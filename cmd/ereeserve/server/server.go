@@ -165,15 +165,9 @@ type Options struct {
 	// admin key). The follower serves reads, sheds writes with a hint
 	// to the primary, and becomes the primary on /v1/admin/promote.
 	ReplicateFrom string
-	// ReplPoll is the follower's delay between stream polls when the
-	// primary is unreachable or idle; 0 means the default (250ms).
-	// Tests shorten it.
-	ReplPoll time.Duration
 }
 
 const defaultMaxInFlight = 256
-
-const defaultReplPoll = 250 * time.Millisecond
 
 // newServer builds the server in stateStarting; callers mark it ready.
 func newServer(pub *core.Publisher, reg *privacy.Registry, opts Options) *Server {

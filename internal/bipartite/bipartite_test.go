@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -50,27 +51,6 @@ func TestFromTableRejectsAnonymous(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	tab := jobTable(t, []int{3, 3, 7, 1, 1, 1})
-	g, err := FromTable(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degrees, counts := g.DegreeHistogram()
-	want := map[int]int{1: 3, 3: 2, 7: 1}
-	if len(degrees) != len(want) {
-		t.Fatalf("histogram has %d degrees, want %d", len(degrees), len(want))
-	}
-	for i, d := range degrees {
-		if counts[i] != want[d] {
-			t.Errorf("count for degree %d = %d, want %d", d, counts[i], want[d])
-		}
-		if i > 0 && degrees[i-1] >= d {
-			t.Error("histogram degrees not sorted")
-		}
-	}
-}
-
 func TestEmployersOverAndEdgesRemoved(t *testing.T) {
 	tab := jobTable(t, []int{5, 10, 20, 2})
 	g, err := FromTable(tab)
@@ -82,23 +62,6 @@ func TestEmployersOverAndEdgesRemoved(t *testing.T) {
 	}
 	if got := g.EdgesRemovedByTruncation(9); got != 30 {
 		t.Errorf("EdgesRemovedByTruncation(9) = %d, want 30", got)
-	}
-}
-
-func TestQuantileDegree(t *testing.T) {
-	tab := jobTable(t, []int{1, 2, 3, 4, 5})
-	g, err := FromTable(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.QuantileDegree(0); got != 1 {
-		t.Errorf("min degree = %d, want 1", got)
-	}
-	if got := g.QuantileDegree(1); got != 5 {
-		t.Errorf("max degree = %d, want 5", got)
-	}
-	if got := g.QuantileDegree(0.5); got != 3 {
-		t.Errorf("median degree = %d, want 3", got)
 	}
 }
 
@@ -226,4 +189,56 @@ func TestSensitivityAfterTruncation(t *testing.T) {
 		}
 	}()
 	SensitivityAfterTruncation(0)
+}
+
+// Degree statistics of the graph: the oracles the tests above check
+// FromTable and Truncate against.
+
+// NumEdges returns the number of edges (jobs). Because each worker holds
+// exactly one job, this is also the number of employee nodes.
+func (g *Graph) NumEdges() int { return g.edges }
+
+// Degree returns the degree (employment) of the given employer.
+func (g *Graph) Degree(employer int) int {
+	if employer < 0 || employer >= len(g.degrees) {
+		panic(fmt.Sprintf("bipartite: employer %d out of range", employer))
+	}
+	return g.degrees[employer]
+}
+
+// MaxDegree returns the largest employer degree. This is the quantity
+// with no a priori bound that makes the Laplace mechanism inapplicable
+// under node-differential privacy (Section 6).
+func (g *Graph) MaxDegree() int {
+	max := 0
+	for _, d := range g.degrees {
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// EmployersOver returns how many employers have degree strictly greater
+// than theta.
+func (g *Graph) EmployersOver(theta int) int {
+	n := 0
+	for _, d := range g.degrees {
+		if d > theta {
+			n++
+		}
+	}
+	return n
+}
+
+// EdgesRemovedByTruncation returns how many edges (jobs) a θ-truncation
+// would delete: the total employment of employers with degree > theta.
+func (g *Graph) EdgesRemovedByTruncation(theta int) int {
+	n := 0
+	for _, d := range g.degrees {
+		if d > theta {
+			n += d
+		}
+	}
+	return n
 }

@@ -8,7 +8,6 @@ package bipartite
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/table"
 )
@@ -41,87 +40,3 @@ func FromTable(t *table.Table) (*Graph, error) {
 // NumEmployers returns the number of employer nodes (including employers
 // with zero jobs, if the entity space has gaps).
 func (g *Graph) NumEmployers() int { return len(g.degrees) }
-
-// NumEdges returns the number of edges (jobs). Because each worker holds
-// exactly one job, this is also the number of employee nodes.
-func (g *Graph) NumEdges() int { return g.edges }
-
-// Degree returns the degree (employment) of the given employer.
-func (g *Graph) Degree(employer int) int {
-	if employer < 0 || employer >= len(g.degrees) {
-		panic(fmt.Sprintf("bipartite: employer %d out of range", employer))
-	}
-	return g.degrees[employer]
-}
-
-// MaxDegree returns the largest employer degree. This is the quantity
-// with no a priori bound that makes the Laplace mechanism inapplicable
-// under node-differential privacy (Section 6).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, d := range g.degrees {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// DegreeHistogram returns the sorted distinct degrees and their employer
-// counts, for diagnostics and the skewness analyses in the examples.
-func (g *Graph) DegreeHistogram() (degrees []int, counts []int) {
-	hist := make(map[int]int)
-	for _, d := range g.degrees {
-		hist[d]++
-	}
-	degrees = make([]int, 0, len(hist))
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
-}
-
-// EmployersOver returns how many employers have degree strictly greater
-// than theta.
-func (g *Graph) EmployersOver(theta int) int {
-	n := 0
-	for _, d := range g.degrees {
-		if d > theta {
-			n++
-		}
-	}
-	return n
-}
-
-// EdgesRemovedByTruncation returns how many edges (jobs) a θ-truncation
-// would delete: the total employment of employers with degree > theta.
-func (g *Graph) EdgesRemovedByTruncation(theta int) int {
-	n := 0
-	for _, d := range g.degrees {
-		if d > theta {
-			n += d
-		}
-	}
-	return n
-}
-
-// QuantileDegree returns the q-quantile (0 <= q <= 1) of the employer
-// degree distribution.
-func (g *Graph) QuantileDegree(q float64) int {
-	if !(q >= 0 && q <= 1) {
-		panic(fmt.Sprintf("bipartite: quantile %v out of [0,1]", q))
-	}
-	if len(g.degrees) == 0 {
-		return 0
-	}
-	sorted := make([]int, len(g.degrees))
-	copy(sorted, g.degrees)
-	sort.Ints(sorted)
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}

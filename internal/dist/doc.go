@@ -40,9 +40,8 @@
 // # Samplers
 //
 // Noise distributions (Laplace, GenCauchy) expose Sample together with
-// the closed forms the verification layers need (PDF, CDF, Quantile).
-// Data distributions (LogNormal, Pareto, SkewedSize, GapUniform) model
-// the synthetic LODES inputs and the SDL distortion factors.
-// KolmogorovSmirnov is the goodness-of-fit check the sampler tests and
-// the eval layer share.
+// the closed forms the mechanisms need (PDF, Quantile); their CDFs and
+// the KolmogorovSmirnov goodness-of-fit check live with the sampler
+// tests. Data distributions (LogNormal, Pareto, SkewedSize, GapUniform)
+// model the synthetic LODES inputs and the SDL distortion factors.
 package dist

@@ -52,7 +52,3 @@ func (g GapUniform) Contains(f float64) bool {
 	const tol = 1e-9
 	return d >= g.S-tol && d <= g.T+tol
 }
-
-// Mean returns E f = 1: the two sides are symmetric, which is what
-// keeps noise infusion unbiased for large aggregates.
-func (GapUniform) Mean() float64 { return 1 }

@@ -21,21 +21,6 @@ func (GenCauchy) PDF(z float64) float64 {
 	return gcNorm / (1 + z2*z2)
 }
 
-// CDF returns P(Z <= z), from the closed-form antiderivative of
-// 1/(1+z⁴):
-//
-//	F(z) = √2/8·ln((z²+√2z+1)/(z²−√2z+1)) + √2/4·(atan(√2z+1)+atan(√2z−1)).
-//
-// In the tails the closed form loses to cancellation (and far out z⁴
-// overflows), so beyond |z| = 12 the asymptotic series is used instead
-// (see sf); the result is always clamped into [0, 1].
-func (g GenCauchy) CDF(z float64) float64 {
-	if z >= 0 {
-		return 1 - g.sf(z)
-	}
-	return g.sf(-z)
-}
-
 // sf returns the survival function P(Z > z) for z >= 0, computed
 // without subtracting nearly-equal quantities so it stays accurate
 // (and in [0, 0.5]) arbitrarily far into the tail.
@@ -140,15 +125,6 @@ func (g GenCauchy) quantileTailBracketed(tail float64) float64 {
 // Sample draws one variate by CDF inversion.
 func (g GenCauchy) Sample(s *Stream) float64 {
 	return g.Quantile(s.float64Open())
-}
-
-// Fill draws len(dst) variates into the caller-owned buffer, consuming
-// the stream exactly as len(dst) scalar Sample calls would (see
-// Laplace.Fill for the contract).
-func (g GenCauchy) Fill(dst []float64, s *Stream) {
-	for i := range dst {
-		dst[i] = g.Sample(s)
-	}
 }
 
 // MeanAbs returns E|Z| = 1/√2.

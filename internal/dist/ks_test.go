@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"testing"
 )
 
 // KolmogorovSmirnov runs the one-sample Kolmogorov–Smirnov test of the
@@ -13,9 +14,9 @@ import (
 // at least that large under the null hypothesis that the sample was
 // drawn from cdf.
 //
-// It is the shared goodness-of-fit check of the sampler test-suite and
-// the eval layer: a correctly implemented sampler must produce p-values
-// that are not astronomically small.
+// It is the sampler test-suite's goodness-of-fit check: a correctly
+// implemented sampler must produce p-values that are not astronomically
+// small.
 func KolmogorovSmirnov(sample []float64, cdf func(float64) float64) (stat, p float64, err error) {
 	if cdf == nil {
 		return 0, 0, fmt.Errorf("dist: KolmogorovSmirnov requires a CDF")
@@ -78,4 +79,20 @@ func ksPValue(d float64, n int) float64 {
 		return 1
 	}
 	return p
+}
+
+// BenchmarkKolmogorovSmirnov measures the sampler-validation test.
+func BenchmarkKolmogorovSmirnov(b *testing.B) {
+	l := NewLaplace(1)
+	s := NewStreamFromSeed(33)
+	sample := make([]float64, 10000)
+	for i := range sample {
+		sample[i] = l.Sample(s)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := KolmogorovSmirnov(sample, l.CDF); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -29,38 +29,9 @@ func (l Laplace) Sample(s *Stream) float64 {
 	return l.Quantile(s.float64Open())
 }
 
-// Fill draws len(dst) variates into the caller-owned buffer, consuming
-// the stream exactly as len(dst) scalar Sample calls would: dst[i] holds
-// the (i+1)-th draw, bit for bit. Batch callers (the release pipeline)
-// rely on this equivalence for determinism against the scalar path.
-//
-// The loop body is the quantile formula with the scale load and the
-// in-range check hoisted out of the per-draw path; the expressions are
-// exactly Quantile's, so the bit-for-bit contract holds by construction
-// (TestFillMatchesScalar pins it).
-func (l Laplace) Fill(dst []float64, s *Stream) {
-	b := l.B
-	for i := range dst {
-		p := s.float64Open()
-		if p < 0.5 {
-			dst[i] = b * math.Log(2*p)
-		} else {
-			dst[i] = -b * math.Log(2*(1-p))
-		}
-	}
-}
-
 // PDF returns the density at x.
 func (l Laplace) PDF(x float64) float64 {
 	return math.Exp(-math.Abs(x)/l.B) / (2 * l.B)
-}
-
-// CDF returns P(X <= x).
-func (l Laplace) CDF(x float64) float64 {
-	if x < 0 {
-		return 0.5 * math.Exp(x/l.B)
-	}
-	return 1 - 0.5*math.Exp(-x/l.B)
 }
 
 // Quantile returns the p-quantile for p in (0, 1); it is the exact
@@ -74,9 +45,3 @@ func (l Laplace) Quantile(p float64) float64 {
 	}
 	return -l.B * math.Log(2*(1-p))
 }
-
-// MeanAbs returns E|X| = b.
-func (l Laplace) MeanAbs() float64 { return l.B }
-
-// Variance returns Var X = 2b².
-func (l Laplace) Variance() float64 { return 2 * l.B * l.B }

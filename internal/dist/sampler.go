@@ -1,32 +1,10 @@
 package dist
 
 // Sampler is anything that draws one variate from a stream. Every
-// distribution in this package implements it; the batch helpers below
-// accept it so callers can batch-sample without knowing the concrete
-// distribution.
+// distribution in this package implements it; FillSplit accepts it so
+// callers can batch-sample without knowing the concrete distribution.
 type Sampler interface {
 	Sample(*Stream) float64
-}
-
-// Fill draws len(dst) variates from the sampler into the caller-owned
-// buffer, consuming the stream exactly as len(dst) scalar Sample calls
-// would — dst[i] is the (i+1)-th draw, bit for bit. The common noise
-// distributions are dispatched to their concrete Fill methods so the
-// inner loop pays no interface call per draw; anything else falls back
-// to the scalar loop (which is still stream-order identical).
-func Fill(dst []float64, m Sampler, s *Stream) {
-	switch d := m.(type) {
-	case Laplace:
-		d.Fill(dst, s)
-	case GenCauchy:
-		d.Fill(dst, s)
-	case GapUniform:
-		d.Fill(dst, s)
-	default:
-		for i := range dst {
-			dst[i] = m.Sample(s)
-		}
-	}
 }
 
 // FillSplit draws len(dst) variates where draw j comes from the child

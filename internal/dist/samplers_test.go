@@ -517,3 +517,39 @@ func TestKSAcceptsExactFit(t *testing.T) {
 		t.Error("KS result depends on sample order")
 	}
 }
+
+// CDF returns P(X <= x).
+func (l Laplace) CDF(x float64) float64 {
+	if x < 0 {
+		return 0.5 * math.Exp(x/l.B)
+	}
+	return 1 - 0.5*math.Exp(-x/l.B)
+}
+
+// MeanAbs returns E|X| = b.
+func (l Laplace) MeanAbs() float64 { return l.B }
+
+// Variance returns Var X = 2b².
+func (l Laplace) Variance() float64 { return 2 * l.B * l.B }
+
+// CDF returns P(Z <= z), from the closed-form antiderivative of
+// 1/(1+z⁴):
+//
+//	F(z) = √2/8·ln((z²+√2z+1)/(z²−√2z+1)) + √2/4·(atan(√2z+1)+atan(√2z−1)).
+//
+// In the tails the closed form loses to cancellation (and far out z⁴
+// overflows), so beyond |z| = 12 the asymptotic series is used instead
+// (see sf); the result is always clamped into [0, 1].
+func (g GenCauchy) CDF(z float64) float64 {
+	if z >= 0 {
+		return 1 - g.sf(z)
+	}
+	return g.sf(-z)
+}
+
+// Mean returns the expected size of the continuous mixture (before
+// rounding and the floor at 1) — the planning number DefaultConfig's
+// comment cites.
+func (m SkewedSize) Mean() float64 {
+	return (1-m.TailProb)*m.Body.Mean() + m.TailProb*m.Tail.Mean()
+}

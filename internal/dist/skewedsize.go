@@ -48,10 +48,3 @@ func (m SkewedSize) Sample(s *Stream) int {
 	}
 	return size
 }
-
-// Mean returns the expected size of the continuous mixture (before
-// rounding and the floor at 1) — the planning number DefaultConfig's
-// comment cites.
-func (m SkewedSize) Mean() float64 {
-	return (1-m.TailProb)*m.Body.Mean() + m.TailProb*m.Tail.Mean()
-}

@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -149,4 +151,54 @@ func TestMean(t *testing.T) {
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("mean of empty should be NaN")
 	}
+}
+
+// BootstrapCI computes a percentile-bootstrap confidence interval for the
+// mean of per-trial metric values — the error bars for a figure's grid
+// points. The paper plots point estimates over 20 trials; the bootstrap
+// quantifies how much of the visual difference between mechanisms is
+// trial noise (for the L1 ratios at small ε, quite a lot, which is why
+// points near validity boundaries look erratic).
+//
+// level is the confidence level (e.g. 0.95); resamples the number of
+// bootstrap resamples. The interval is deterministic given the stream.
+func BootstrapCI(values []float64, level float64, resamples int, s *dist.Stream) (lo, hi float64, err error) {
+	if len(values) < 2 {
+		return 0, 0, fmt.Errorf("eval: bootstrap needs at least 2 values, got %d", len(values))
+	}
+	if !(level > 0 && level < 1) {
+		return 0, 0, fmt.Errorf("eval: confidence level must be in (0,1), got %v", level)
+	}
+	if resamples < 10 {
+		return 0, 0, fmt.Errorf("eval: need at least 10 resamples, got %d", resamples)
+	}
+	means := make([]float64, resamples)
+	n := len(values)
+	for r := range means {
+		var sum float64
+		for i := 0; i < n; i++ {
+			sum += values[s.IntN(n)]
+		}
+		means[r] = sum / float64(n)
+	}
+	sort.Float64s(means)
+	alpha := (1 - level) / 2
+	loIdx := int(alpha * float64(resamples))
+	hiIdx := int((1 - alpha) * float64(resamples))
+	if hiIdx >= resamples {
+		hiIdx = resamples - 1
+	}
+	return means[loIdx], means[hiIdx], nil
+}
+
+// Mean returns the arithmetic mean of the values.
+func Mean(values []float64) float64 {
+	if len(values) == 0 {
+		return math.NaN()
+	}
+	var sum float64
+	for _, v := range values {
+		sum += v
+	}
+	return sum / float64(len(values))
 }

@@ -284,56 +284,33 @@ func (h *Harness) RunGrid(spec GridSpec, metric Metric) ([]Point, error) {
 		sdlStrata[s], _ = L1Masked(sdlRel, marg.Counts, masks[s])
 	}
 
-	divisor := 1.0
-	if spec.DivideEpsByWorkerDomain {
-		divisor = float64(lodes.WorkerAttrDomainSize(h.Data.Schema(), spec.Attrs))
-	}
-
 	cells := core.CellInputs(marg)
+	scoreMasks := append([][]bool{slice}, masks[:]...)
 
 	// Enumerate the grid, then evaluate points in parallel. Per-point and
 	// per-trial noise streams are derived from (mechanism, α, ε, trial)
 	// labels — never from shared mutable state — so the parallel run is
 	// bit-identical to the sequential one.
-	type job struct {
-		idx        int
-		kind       core.MechanismKind
-		alpha, eps float64
-		mechanism  mech.CellMechanism
-		skipReason string
-	}
-	var jobs []job
-	for _, kind := range spec.Mechanisms {
-		for _, alpha := range spec.Alpha {
-			for _, eps := range spec.Eps {
-				j := job{idx: len(jobs), kind: kind, alpha: alpha, eps: eps}
-				m, reason, err := buildCellMechanism(kind, alpha, eps/divisor, spec.Delta)
-				if err != nil {
-					return nil, err
-				}
-				if m == nil {
-					j.skipReason = reason
-				} else {
-					j.mechanism = m
-				}
-				jobs = append(jobs, j)
-			}
+	grid := spec.gridPoints()
+	mechs := make([]mech.CellMechanism, len(grid))
+	points := make([]Point, len(grid))
+	divisor := h.epsDivisor(spec)
+	for i, p := range grid {
+		m, reason, err := buildCellMechanism(p.kind, p.alpha, p.eps/divisor, spec.Delta)
+		if err != nil {
+			return nil, err
 		}
+		mechs[i] = m
+		points[i] = Point{Mechanism: p.kind, Eps: p.eps, Alpha: p.alpha, Reason: reason}
 	}
-
-	points := make([]Point, len(jobs))
 	var (
 		wg       sync.WaitGroup
 		firstErr error
 		errOnce  sync.Once
 	)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, j := range jobs {
-		j := j
-		pt := Point{Mechanism: j.kind, Eps: j.eps, Alpha: j.alpha}
-		if j.mechanism == nil {
-			pt.Reason = j.skipReason
-			points[j.idx] = pt
+	for i, p := range grid {
+		if mechs[i] == nil {
 			continue
 		}
 		wg.Add(1)
@@ -341,32 +318,22 @@ func (h *Harness) RunGrid(spec GridSpec, metric Metric) ([]Point, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
+			scores, err := h.trialScores(p, mechs[i], metric, cells, marg.Counts, sdlRel, scoreMasks)
+			if err != nil {
+				errOnce.Do(func() { firstErr = err })
+				return
+			}
+			// Sum in trial order: the figure CSVs are pinned to it.
 			var overall float64
 			var strataAcc [lodes.NumStrata]float64
-			label := fmt.Sprintf("grid/%v/a=%g/e=%g/%v", j.kind, j.alpha, j.eps, metric)
-			for trial := 0; trial < h.Trials; trial++ {
-				stream := h.seed.Split(label).SplitIndex("trial", trial)
-				noisy, err := mech.ReleaseCells(j.mechanism, cells, stream)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				switch metric {
-				case MetricL1Ratio:
-					l1, _ := L1Masked(noisy, marg.Counts, slice)
-					overall += l1
-					for s := range masks {
-						sv, _ := L1Masked(noisy, marg.Counts, masks[s])
-						strataAcc[s] += sv
-					}
-				case MetricSpearman:
-					overall += SpearmanMasked(noisy, sdlRel, slice)
-					for s := range masks {
-						strataAcc[s] += SpearmanMasked(noisy, sdlRel, masks[s])
-					}
+			for _, sc := range scores {
+				overall += sc[0]
+				for s := range strataAcc {
+					strataAcc[s] += sc[1+s]
 				}
 			}
 			n := float64(h.Trials)
+			pt := &points[i]
 			pt.Valid = true
 			switch metric {
 			case MetricL1Ratio:
@@ -384,7 +351,6 @@ func (h *Harness) RunGrid(spec GridSpec, metric Metric) ([]Point, error) {
 					pt.Strata[s] = strataAcc[s] / n
 				}
 			}
-			points[j.idx] = pt
 		}()
 	}
 	wg.Wait()
@@ -392,6 +358,109 @@ func (h *Harness) RunGrid(spec GridSpec, metric Metric) ([]Point, error) {
 		return nil, firstErr
 	}
 	return points, nil
+}
+
+// TrialValues collects the per-trial overall metric values for one grid
+// point (mechanism, ε, α) so callers can bootstrap error bars for it. It
+// runs the same per-point trials as RunGrid, so the mean of the returned
+// values equals the corresponding Point.Overall up to rounding.
+func (h *Harness) TrialValues(spec GridSpec, metric Metric, pointIdx int) ([]float64, error) {
+	grid := spec.gridPoints()
+	if pointIdx < 0 || pointIdx >= len(grid) {
+		return nil, fmt.Errorf("eval: point index %d out of range (%d points)", pointIdx, len(grid))
+	}
+	marg, err := h.Marginal(spec.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	sdlRel, err := h.SDLRelease(spec.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	slice, err := sliceMask(marg.Query, spec.Slice)
+	if err != nil {
+		return nil, err
+	}
+	p := grid[pointIdx]
+	m, reason, err := buildCellMechanism(p.kind, p.alpha, p.eps/h.epsDivisor(spec), spec.Delta)
+	if err != nil {
+		return nil, err
+	}
+	if m == nil {
+		return nil, fmt.Errorf("eval: point invalid: %s", reason)
+	}
+	scores, err := h.trialScores(p, m, metric, core.CellInputs(marg), marg.Counts, sdlRel, [][]bool{slice})
+	if err != nil {
+		return nil, err
+	}
+	sdlL1, _ := L1Masked(sdlRel, marg.Counts, slice)
+	out := make([]float64, len(scores))
+	for trial, sc := range scores {
+		out[trial] = sc[0]
+		if metric == MetricL1Ratio {
+			out[trial] /= sdlL1
+		}
+	}
+	return out, nil
+}
+
+// gridPoint is one (mechanism, α, ε) combination of a GridSpec, ε as
+// plotted.
+type gridPoint struct {
+	kind       core.MechanismKind
+	alpha, eps float64
+}
+
+// gridPoints enumerates the spec's grid in mechanism-major order.
+func (spec GridSpec) gridPoints() []gridPoint {
+	var out []gridPoint
+	for _, kind := range spec.Mechanisms {
+		for _, alpha := range spec.Alpha {
+			for _, eps := range spec.Eps {
+				out = append(out, gridPoint{kind: kind, alpha: alpha, eps: eps})
+			}
+		}
+	}
+	return out
+}
+
+// epsDivisor is what each cell's ε is the plotted ε divided by: the
+// worker-attribute domain size under Workload 3's accounting, else 1.
+func (h *Harness) epsDivisor(spec GridSpec) float64 {
+	if spec.DivideEpsByWorkerDomain {
+		return float64(lodes.WorkerAttrDomainSize(h.Data.Schema(), spec.Attrs))
+	}
+	return 1
+}
+
+// trialScores runs the point's h.Trials releases of m, each from the
+// point's label-derived trial stream, and scores every noisy vector
+// under metric on each mask: scores[trial][k] is the score on masks[k].
+// An L1 score is the raw L1 error against truth (callers divide by the
+// SDL release's); a Spearman score is the correlation with the SDL
+// ranking.
+func (h *Harness) trialScores(p gridPoint, m mech.CellMechanism, metric Metric, cells []mech.CellInput, truth []int64, sdlRel []float64, masks [][]bool) ([][]float64, error) {
+	if metric != MetricL1Ratio && metric != MetricSpearman {
+		return nil, fmt.Errorf("eval: unknown metric %v", metric)
+	}
+	label := fmt.Sprintf("grid/%v/a=%g/e=%g/%v", p.kind, p.alpha, p.eps, metric)
+	scores := make([][]float64, h.Trials)
+	for trial := range scores {
+		stream := h.seed.Split(label).SplitIndex("trial", trial)
+		noisy, err := mech.ReleaseCells(m, cells, stream)
+		if err != nil {
+			return nil, err
+		}
+		scores[trial] = make([]float64, len(masks))
+		for k, mask := range masks {
+			if metric == MetricL1Ratio {
+				scores[trial][k], _ = L1Masked(noisy, truth, mask)
+			} else {
+				scores[trial][k] = SpearmanMasked(noisy, sdlRel, mask)
+			}
+		}
+	}
+	return scores, nil
 }
 
 // TruncatedPoint is one grid point of the node-DP baseline sweep.

@@ -191,46 +191,3 @@ func StratumMasks(strata []lodes.SizeStratum) [lodes.NumStrata][]bool {
 	}
 	return masks
 }
-
-// TopKOverlap returns |topK(a) ∩ topK(b)| / k: the fraction of b's top-k
-// items (by value, descending) that also appear in a's top-k. This is
-// the "did the ranked list get the right members" complement to
-// Spearman's whole-ranking correlation, matching how OnTheMap users
-// consume short ranked lists (Section 3.2).
-func TopKOverlap(a, b []float64, k int) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("eval: length mismatch %d vs %d", len(a), len(b)))
-	}
-	if k <= 0 || k > len(a) {
-		panic(fmt.Sprintf("eval: k=%d out of range for %d items", k, len(a)))
-	}
-	topA := topKSet(a, k)
-	topB := topKSet(b, k)
-	overlap := 0
-	for i := range topB {
-		if topA[i] {
-			overlap++
-		}
-	}
-	return float64(overlap) / float64(k)
-}
-
-// topKSet returns the index set of the k largest values (ties broken by
-// lower index, making the result deterministic).
-func topKSet(values []float64, k int) map[int]bool {
-	idx := make([]int, len(values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if values[idx[a]] != values[idx[b]] {
-			return values[idx[a]] > values[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	out := make(map[int]bool, k)
-	for _, i := range idx[:k] {
-		out[i] = true
-	}
-	return out
-}

@@ -412,11 +412,3 @@ func MustGenerate(cfg Config, s *dist.Stream) *Dataset {
 	}
 	return d
 }
-
-// SectorIndex returns the code of the named NAICS sector, or -1.
-func SectorIndex(name string) int {
-	if i, ok := sectorIdx[name]; ok {
-		return i
-	}
-	return -1
-}

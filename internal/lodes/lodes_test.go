@@ -418,3 +418,11 @@ func TestReadCSVCorruptInputs(t *testing.T) {
 		}
 	})
 }
+
+// SectorIndex returns the code of the named NAICS sector, or -1.
+func SectorIndex(name string) int {
+	if i, ok := sectorIdx[name]; ok {
+		return i
+	}
+	return -1
+}

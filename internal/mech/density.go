@@ -10,10 +10,13 @@ import (
 
 // DensityMechanism is a cell mechanism whose released value has a known
 // probability density given the input. Densities are what make the
-// Pufferfish verification in internal/pufferfish possible: the privacy
-// definitions bound ratios of release densities across neighboring
-// inputs, and with closed forms those ratios can be checked directly
-// instead of estimated from samples.
+// Pufferfish verification of Table 1 possible (the tests of
+// internal/pufferfish): the privacy definitions bound ratios of release
+// densities across neighboring inputs, and with closed forms those
+// ratios can be checked directly instead of estimated from samples. No
+// release path evaluates a density; they live here, not in a test file,
+// because that verifier is another package's test and methods cannot be
+// declared outside package mech.
 type DensityMechanism interface {
 	CellMechanism
 	// ReleaseDensity returns the pdf of the released value at o for a
@@ -43,7 +46,7 @@ func (m LogLaplace) ReleaseDensity(in CellInput, o float64) float64 {
 	return dist.NewLaplace(m.Lambda()).PDF(eta) / (o + gamma)
 }
 
-// scaleFor returns the noise scale S*/a the smooth mechanisms apply to a
+// smoothScale returns the noise scale S*/a the smooth mechanisms apply to a
 // cell, or an error outside the validity region.
 func smoothScale(alpha float64, split smooth.Split, in CellInput) (float64, error) {
 	sens, err := smooth.Sensitivity(in.MaxContribution, alpha, split.B)
@@ -77,76 +80,4 @@ func (m SmoothLaplace) ReleaseDensity(in CellInput, o float64) float64 {
 		panic(fmt.Sprintf("mech: %v", err))
 	}
 	return dist.NewLaplace(1).PDF((o-in.Count)/scale) / scale
-}
-
-// NoiseQuantile returns the p-quantile of a mechanism's noise for the
-// given cell, enabling confidence intervals on releases:
-// [release + NoiseQuantile(in, level/2), release + NoiseQuantile(in, 1-level/2)]
-// covers the true count with probability 1-level (for the unbiased
-// mechanisms; Log-Laplace intervals are quantile-exact but asymmetric
-// around a biased center).
-func NoiseQuantile(m CellMechanism, in CellInput, p float64) (float64, error) {
-	if !(p > 0 && p < 1) {
-		return 0, fmt.Errorf("mech: quantile requires p in (0,1), got %v", p)
-	}
-	switch mm := m.(type) {
-	case PureLaplace:
-		return dist.NewLaplace(mm.Sensitivity / mm.Eps).Quantile(p), nil
-	case LogLaplace:
-		// Quantiles transform through the monotone release map.
-		gamma := mm.Gamma()
-		eta := dist.NewLaplace(mm.Lambda()).Quantile(p)
-		return (in.Count+gamma)*math.Exp(eta) - gamma - in.Count, nil
-	case SmoothGamma:
-		scale, err := smoothScale(mm.Alpha, mm.split, in)
-		if err != nil {
-			return 0, err
-		}
-		return dist.GenCauchy{}.Quantile(p) * scale, nil
-	case SmoothLaplace:
-		scale, err := smoothScale(mm.Alpha, mm.split, in)
-		if err != nil {
-			return 0, err
-		}
-		return dist.NewLaplace(1).Quantile(p) * scale, nil
-	}
-	return 0, fmt.Errorf("mech: no quantile form for %T", m)
-}
-
-// ConfidenceInterval returns a (1-level) interval for the true count
-// given a released value, by inverting the noise quantiles. For the
-// additive mechanisms the interval is [released − q_{1−level/2},
-// released − q_{level/2}]; for Log-Laplace the multiplicative noise is
-// inverted through the release map, giving the exact quantile interval
-// [(o+γ)·e^{−q_hi} − γ, (o+γ)·e^{−q_lo} − γ].
-//
-// The smooth mechanisms' noise scale depends on the cell's confidential
-// x_v, so this is an *internal* diagnostic for the publishing agency
-// (e.g. a publishability check), not something to release alongside the
-// counts without accounting for its own privacy cost.
-func ConfidenceInterval(m CellMechanism, in CellInput, released, level float64) (lo, hi float64, err error) {
-	if !(level > 0 && level < 1) {
-		return 0, 0, fmt.Errorf("mech: level must be in (0,1), got %v", level)
-	}
-	if ll, ok := m.(LogLaplace); ok {
-		gamma := ll.Gamma()
-		if released <= -gamma {
-			return 0, 0, fmt.Errorf("mech: released value %v outside Log-Laplace support", released)
-		}
-		lap := dist.NewLaplace(ll.Lambda())
-		qLo := lap.Quantile(level / 2)
-		qHi := lap.Quantile(1 - level/2)
-		lo = (released+gamma)*math.Exp(-qHi) - gamma
-		hi = (released+gamma)*math.Exp(-qLo) - gamma
-		return lo, hi, nil
-	}
-	qLo, err := NoiseQuantile(m, in, level/2)
-	if err != nil {
-		return 0, 0, err
-	}
-	qHi, err := NoiseQuantile(m, in, 1-level/2)
-	if err != nil {
-		return 0, 0, err
-	}
-	return released - qHi, released - qLo, nil
 }

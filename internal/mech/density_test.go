@@ -107,105 +107,6 @@ func TestDensityMechanismInterfaces(t *testing.T) {
 	var _ DensityMechanism = sl
 }
 
-func TestNoiseQuantileSymmetry(t *testing.T) {
-	sg, err := NewSmoothGamma(0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := CellInput{Count: 100, MaxContribution: 40}
-	qLo, err := NoiseQuantile(sg, in, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qHi, err := NoiseQuantile(sg, in, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(qLo+qHi) > 1e-9 {
-		t.Errorf("symmetric noise quantiles not mirrored: %v vs %v", qLo, qHi)
-	}
-	if qHi <= 0 {
-		t.Errorf("upper quantile %v should be positive", qHi)
-	}
-}
-
-func TestNoiseQuantileInvalid(t *testing.T) {
-	sl, err := NewSmoothLaplace(0.1, 2, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NoiseQuantile(sl, CellInput{}, 0); err == nil {
-		t.Error("p=0 accepted")
-	}
-	if _, err := NoiseQuantile(Clamped{Inner: sl}, CellInput{}, 0.5); err == nil {
-		t.Error("wrapper without quantile form accepted")
-	}
-}
-
-func TestConfidenceIntervalCoverage(t *testing.T) {
-	// Empirical coverage of the 90% interval for each mechanism.
-	in := CellInput{Count: 500, MaxContribution: 100}
-	sl, err := NewSmoothLaplace(0.1, 2, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := NewSmoothGamma(0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ll, err := NewLogLaplace(0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range map[string]CellMechanism{
-		"smooth-laplace": sl, "smooth-gamma": sg, "log-laplace": ll,
-	} {
-		s := dist.NewStreamFromSeed(77)
-		const n = 20000
-		covered := 0
-		for i := 0; i < n; i++ {
-			rel, err := m.ReleaseCell(in, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo, hi, err := ConfidenceInterval(m, in, rel, 0.10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lo <= in.Count && in.Count <= hi {
-				covered++
-			}
-		}
-		rate := float64(covered) / n
-		if math.Abs(rate-0.90) > 0.02 {
-			t.Errorf("%s: 90%% interval covers %v", name, rate)
-		}
-	}
-}
-
-func TestConfidenceIntervalInvalidLevel(t *testing.T) {
-	sl, err := NewSmoothLaplace(0.1, 2, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ConfidenceInterval(sl, CellInput{}, 0, 0); err == nil {
-		t.Error("level=0 accepted")
-	}
-	if _, _, err := ConfidenceInterval(sl, CellInput{}, 0, 1); err == nil {
-		t.Error("level=1 accepted")
-	}
-}
-
-func TestLogLaplaceIntervalOutsideSupport(t *testing.T) {
-	ll, err := NewLogLaplace(0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ConfidenceInterval(ll, CellInput{}, -ll.Gamma()-1, 0.1); err == nil {
-		t.Error("release outside support accepted")
-	}
-}
-
 func TestDensityPrivacyRatioLogLaplace(t *testing.T) {
 	// Theorem 8.1 checked analytically through the densities: for
 	// single-establishment counts x and (1+alpha)x (strong alpha-neighbors),
@@ -247,41 +148,6 @@ func TestDensityPrivacyRatioPlusOneNeighbor(t *testing.T) {
 		if px/py > bound || py/px > bound {
 			t.Fatalf("density ratio %v at o=%v exceeds e^eps", math.Max(px/py, py/px), o)
 		}
-	}
-}
-
-func TestNoiseQuantilePureLaplace(t *testing.T) {
-	m, err := NewPureLaplace(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := NoiseQuantile(m, CellInput{}, 0.975)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Laplace(0.5) 97.5% quantile = -0.5*ln(2*0.025) = 0.5*ln(20).
-	want := 0.5 * math.Log(20)
-	if math.Abs(q-want) > 1e-12 {
-		t.Errorf("quantile = %v, want %v", q, want)
-	}
-}
-
-func TestNoiseQuantileLogLaplaceMonotone(t *testing.T) {
-	m, err := NewLogLaplace(0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := CellInput{Count: 100}
-	prev := math.Inf(-1)
-	for p := 0.1; p < 1; p += 0.1 {
-		q, err := NoiseQuantile(m, in, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q <= prev {
-			t.Fatalf("log-laplace noise quantile not increasing at p=%v", p)
-		}
-		prev = q
 	}
 }
 

@@ -52,10 +52,6 @@ func (m LogLaplace) Lambda() float64 { return 2 * math.Log(1+m.Alpha) / m.Eps }
 // (Lemma 8.2).
 func (m LogLaplace) ExpectationBounded() bool { return m.Lambda() < 1 }
 
-// RelativeErrorBounded reports whether the expected squared relative
-// error bound of Theorem 8.3 applies, i.e. λ < 1/2.
-func (m LogLaplace) RelativeErrorBounded() bool { return m.Lambda() < 0.5 }
-
 // ReleaseCell applies Algorithm 1 to the cell. x_v is not used: the
 // mechanism calibrates to global (log-space) sensitivity, not smooth
 // sensitivity.
@@ -71,74 +67,14 @@ func (m LogLaplace) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) {
 // releaseCellRange is the batch path: γ, λ and the log-space Laplace are
 // hoisted out of the cell loop and the noise is batch-sampled from the
 // per-cell stream family — bit-identical to per-cell ReleaseCell.
-func (m LogLaplace) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) error {
+func (m LogLaplace) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) (int, error) {
 	if !(m.Alpha > 0) || !(m.Eps > 0) {
-		return fmt.Errorf("mech: LogLaplace not initialized (alpha=%v eps=%v)", m.Alpha, m.Eps)
+		return 0, fmt.Errorf("mech: LogLaplace not initialized (alpha=%v eps=%v)", m.Alpha, m.Eps)
 	}
 	gamma := m.Gamma()
 	dist.FillSplit(noise, dist.NewLaplace(m.Lambda()), parent, "cell", base)
 	for i := range out {
 		out[i] = math.Exp(math.Log(cells[i].Count+gamma)+noise[i]) - gamma
 	}
-	return nil
-}
-
-// Bias returns E[ñ] − n for a true count n (from Lemma 8.2):
-// (n+γ)·λ²/(1−λ²) when λ < 1, +Inf otherwise. The mechanism
-// overestimates in expectation because e^η is convex.
-func (m LogLaplace) Bias(n float64) float64 {
-	lam := m.Lambda()
-	if lam >= 1 {
-		return math.Inf(1)
-	}
-	return (n + m.Gamma()) * lam * lam / (1 - lam*lam)
-}
-
-// ExpectedL1 returns the exact expected L1 error for a cell with true
-// count n: E|ñ − n| = (n+γ)·E|e^η − 1| = (n+γ)·λ/(1−λ²) for λ < 1
-// (direct integration against the Laplace density), and +Inf otherwise.
-func (m LogLaplace) ExpectedL1(in CellInput) float64 {
-	lam := m.Lambda()
-	if lam >= 1 {
-		return expInvalid
-	}
-	return (in.Count + m.Gamma()) * lam / (1 - lam*lam)
-}
-
-// ExpectedSquaredRelErrBound returns the Theorem 8.3 upper bound on the
-// expected squared relative error, valid when λ < 1/2; +Inf otherwise.
-func (m LogLaplace) ExpectedSquaredRelErrBound() float64 {
-	lam := m.Lambda()
-	if lam >= 0.5 {
-		return math.Inf(1)
-	}
-	l2 := lam * lam
-	g := m.Gamma()
-	return (2*l2 + 4*l2*l2) * (1 + g) * (1 + g) / ((1 - 4*l2) * (1 - l2))
-}
-
-// ExactSquaredRelErrShifted returns the exact expected squared relative
-// error of the shifted variables ((y−ỹ)/y)² with y = n+γ, which the
-// Theorem 8.3 proof computes in closed form: (2λ²+4λ⁴)/((1−4λ²)(1−λ²))
-// for λ < 1/2.
-func (m LogLaplace) ExactSquaredRelErrShifted() float64 {
-	lam := m.Lambda()
-	if lam >= 0.5 {
-		return math.Inf(1)
-	}
-	l2 := lam * lam
-	return (2*l2 + 4*l2*l2) / ((1 - 4*l2) * (1 - l2))
-}
-
-// Debias returns the bias-corrected estimate (ñ+γ)·(1−λ²) − γ, an
-// extension beyond the paper: by Lemma 8.2 the corrected estimator is
-// unbiased whenever λ < 1. Debiasing is post-processing, so privacy is
-// unaffected.
-func (m LogLaplace) Debias(released float64) float64 {
-	lam := m.Lambda()
-	if lam >= 1 {
-		return released
-	}
-	g := m.Gamma()
-	return (released+g)*(1-lam*lam) - g
+	return -1, nil
 }

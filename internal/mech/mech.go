@@ -34,17 +34,27 @@ type CellInput struct {
 	MaxContribution int64
 }
 
-// CellMechanism releases a single cell count. Implementations must be
-// safe for concurrent use with distinct streams.
+// CellMechanism releases cell counts. Implementations must be safe for
+// concurrent use with distinct streams.
 type CellMechanism interface {
 	// Name identifies the mechanism in experiment output.
 	Name() string
-	// ReleaseCell returns the noisy count for the cell. It returns an
+	// ReleaseCell returns the noisy count for one cell. It returns an
 	// error if the mechanism's parameters are outside its validity region.
 	ReleaseCell(in CellInput, s *dist.Stream) (float64, error)
-	// ExpectedL1 returns the analytical expected L1 error for the cell,
-	// or +Inf when the expectation is unbounded.
-	ExpectedL1(in CellInput) float64
+	// releaseCellRange is the batch path every ReleaseCells chunk runs:
+	// it releases a contiguous run of cells into a caller-owned buffer
+	// with hoisted construction and batch-sampled noise. out and cells
+	// are equal-length chunk views, base is the chunk's offset in the
+	// full vector (cell j of the chunk draws from
+	// parent.SplitIndex("cell", base+j)), and noise is a caller-owned
+	// scratch of len(out) the implementation may overwrite. The result
+	// must be bit-identical to calling ReleaseCell per cell. It returns
+	// the chunk index of the first failing cell and its error, or −1 and
+	// nil. The built-in mechanisms only fail on cell-independent
+	// parameter checks, which every cell of the chunk fails, so they
+	// report 0.
+	releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) (int, error)
 }
 
 // parallelCellCutoff is the vector length below which ReleaseCells stays
@@ -78,63 +88,6 @@ func ReleaseCellsSequential(m CellMechanism, cells []CellInput, parent *dist.Str
 	return out, nil
 }
 
-// cellBatcher is implemented by mechanisms that can release a contiguous
-// run of cells into a caller-owned buffer with hoisted construction and
-// batch-sampled noise. Contract: out and cells are equal-length chunk
-// views, base is the chunk's offset in the full vector (cell j of the
-// chunk draws from parent.SplitIndex("cell", base+j)), and noise is a
-// caller-owned scratch of len(out) the implementation may overwrite.
-// The result must be bit-identical to calling ReleaseCell per cell; a
-// returned error must be one every cell of the chunk would return (the
-// built-in mechanisms only fail on cell-independent parameter checks).
-type cellBatcher interface {
-	releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) error
-}
-
-// releaseChunk releases cells[lo:hi] into out[lo:hi], dispatching to the
-// mechanism's batch path when it has one and to the scalar per-cell loop
-// otherwise. It returns the index of the first failing cell, or −1.
-// noise is a caller-owned scratch of at least hi−lo floats.
-func releaseChunk(m CellMechanism, cells []CellInput, out []float64, parent *dist.Stream, lo, hi int, noise []float64) (int, error) {
-	switch mm := m.(type) {
-	case cellBatcher:
-		if err := mm.releaseCellRange(out[lo:hi], cells[lo:hi], parent, lo, noise[:hi-lo]); err != nil {
-			return lo, err
-		}
-		return -1, nil
-	case Clamped:
-		fail, err := releaseChunk(mm.Inner, cells, out, parent, lo, hi, noise)
-		if err != nil {
-			return fail, err
-		}
-		for i := lo; i < hi; i++ {
-			out[i] = clampNonNegative(out[i])
-		}
-		return -1, nil
-	case Rounded:
-		fail, err := releaseChunk(mm.Inner, cells, out, parent, lo, hi, noise)
-		if err != nil {
-			return fail, err
-		}
-		for i := lo; i < hi; i++ {
-			out[i] = float64(int64(clampNonNegative(out[i]) + 0.5))
-		}
-		return -1, nil
-	default:
-		// Unknown mechanism: the scalar loop, with a freshly allocated
-		// stream per cell — a third-party ReleaseCell may legally retain
-		// the stream it is handed.
-		for i := lo; i < hi; i++ {
-			v, err := m.ReleaseCell(cells[i], parent.SplitIndex("cell", i))
-			if err != nil {
-				return i, err
-			}
-			out[i] = v
-		}
-		return -1, nil
-	}
-}
-
 // ReleaseCellsParallel releases the cell vector using the given number of
 // worker goroutines over contiguous chunks. Cell i's noise always comes
 // from parent.SplitIndex("cell", i) — the same label family the
@@ -155,13 +108,16 @@ func ReleaseCellsParallel(m CellMechanism, cells []CellInput, parent *dist.Strea
 	}
 	out := make([]float64, len(cells))
 	if workers <= 1 {
-		fail, err := releaseChunk(m, cells, out, parent, 0, len(cells), make([]float64, len(cells)))
+		fail, err := m.releaseCellRange(out, cells, parent, 0, make([]float64, len(cells)))
 		if err != nil {
 			return nil, fmt.Errorf("mech: %s cell %d: %w", m.Name(), fail, err)
 		}
 		return out, nil
 	}
 	chunk := (len(cells) + workers - 1) / workers
+	// Rounding the chunk up can leave trailing workers nothing to do
+	// (10 cells over 8 workers are 5 chunks of 2); drop them.
+	workers = (len(cells) + chunk - 1) / chunk
 	errCells := make([]int, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -175,9 +131,9 @@ func ReleaseCellsParallel(m CellMechanism, cells []CellInput, parent *dist.Strea
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			fail, err := releaseChunk(m, cells, out, parent, lo, hi, make([]float64, hi-lo))
+			fail, err := m.releaseCellRange(out[lo:hi], cells[lo:hi], parent, lo, make([]float64, hi-lo))
 			if err != nil {
-				errCells[w] = fail
+				errCells[w] = lo + fail
 				errs[w] = err
 			}
 		}(w, lo, hi)
@@ -252,22 +208,17 @@ func (m PureLaplace) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) 
 	return in.Count + dist.NewLaplace(m.Sensitivity/m.Eps).Sample(s), nil
 }
 
-// ExpectedL1 returns the exact expected L1 error, Sensitivity/ε.
-func (m PureLaplace) ExpectedL1(CellInput) float64 {
-	return m.Sensitivity / m.Eps
-}
-
 // releaseCellRange is the batch path: one Laplace distribution for the
 // whole chunk, noise batch-sampled from the per-cell stream family.
-func (m PureLaplace) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) error {
+func (m PureLaplace) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) (int, error) {
 	if !(m.Eps > 0) || !(m.Sensitivity > 0) {
-		return fmt.Errorf("mech: Laplace mechanism not initialized (eps=%v sens=%v)", m.Eps, m.Sensitivity)
+		return 0, fmt.Errorf("mech: Laplace mechanism not initialized (eps=%v sens=%v)", m.Eps, m.Sensitivity)
 	}
 	dist.FillSplit(noise, dist.NewLaplace(m.Sensitivity/m.Eps), parent, "cell", base)
 	for i := range out {
 		out[i] = cells[i].Count + noise[i]
 	}
-	return nil
+	return -1, nil
 }
 
 // NewEdgeLaplace returns the edge-differential-privacy baseline:
@@ -283,17 +234,3 @@ func NewEdgeLaplace(eps float64) (PureLaplace, error) {
 	m.label = fmt.Sprintf("edge-laplace(eps=%g)", eps)
 	return m, nil
 }
-
-// clampNonNegative truncates a released value at zero. Published
-// employment counts are non-negative; the paper's error metrics are
-// computed on released values, and clamping only ever reduces L1 error.
-// Post-processing cannot degrade a privacy guarantee.
-func clampNonNegative(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// expInvalid is the ExpectedL1 value for out-of-validity parameters.
-var expInvalid = math.Inf(1)

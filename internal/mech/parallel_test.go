@@ -104,8 +104,8 @@ func TestReleaseCellsRoutesThroughParallel(t *testing.T) {
 	}
 }
 
-// failAfter errors on every cell index >= failFrom, to test error
-// propagation order.
+// failAfter errors on every cell whose count is >= failFrom, to test
+// error propagation order.
 type failAfter struct {
 	inner    CellMechanism
 	failFrom int
@@ -118,7 +118,19 @@ func (f *failAfter) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) {
 	}
 	return f.inner.ReleaseCell(in, s)
 }
-func (f *failAfter) ExpectedL1(in CellInput) float64 { return f.inner.ExpectedL1(in) }
+
+// releaseCellRange fails at the chunk's first failing cell, unlike the
+// built-in mechanisms, whose only failures are chunk-wide.
+func (f *failAfter) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) (int, error) {
+	for i := range out {
+		v, err := f.ReleaseCell(cells[i], parent.SplitIndex("cell", base+i))
+		if err != nil {
+			return i, err
+		}
+		out[i] = v
+	}
+	return -1, nil
+}
 
 // TestReleaseCellsParallelFirstError checks the parallel path reports the
 // lowest-index failing cell, like the sequential loop does.
@@ -141,6 +153,34 @@ func TestReleaseCellsParallelFirstError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "cell 600") {
 			t.Fatalf("workers=%d: error %q does not name cell 600", workers, err)
+		}
+	}
+}
+
+// TestReleaseCellsParallelUnevenChunks: when rounding the chunk size up
+// leaves trailing workers without cells (10 cells over 8 workers are 5
+// chunks of 2), the release still covers every cell exactly once.
+func TestReleaseCellsParallelUnevenChunks(t *testing.T) {
+	m, err := NewEdgeLaplace(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{10, 513} {
+		cells := testCells(n)
+		want, err := ReleaseCellsSequential(m, cells, dist.NewStreamFromSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{8, 64} {
+			got, err := ReleaseCellsParallel(m, cells, dist.NewStreamFromSeed(3), workers)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d workers=%d: cell %d = %v, want %v", n, workers, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -39,9 +39,6 @@ func (m SmoothGamma) Name() string {
 	return fmt.Sprintf("smooth-gamma(alpha=%g,eps=%g)", m.Alpha, m.Eps)
 }
 
-// Split exposes the ε₁/ε₂ budget split, for the ablation benchmarks.
-func (m SmoothGamma) Split() smooth.Split { return m.split }
-
 // ReleaseCell applies Algorithm 2 to the cell.
 func (m SmoothGamma) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) {
 	if !(m.split.A > 0) {
@@ -62,16 +59,16 @@ func (m SmoothGamma) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) 
 // invariant reciprocal 1/a is hoisted out of the cell loop; the scalar
 // smooth.Release combines its scale the same reciprocal-first way, so
 // hoisting does not change a single bit of output.
-func (m SmoothGamma) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) error {
+func (m SmoothGamma) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) (int, error) {
 	if !(m.split.A > 0) {
-		return fmt.Errorf("mech: SmoothGamma not initialized; use NewSmoothGamma")
+		return 0, fmt.Errorf("mech: SmoothGamma not initialized; use NewSmoothGamma")
 	}
 	if _, err := smooth.Sensitivity(0, m.Alpha, m.split.B); err != nil {
-		return err
+		return 0, err
 	}
 	dist.FillSplit(noise, dist.GenCauchy{}, parent, "cell", base)
 	smoothScaleCells(out, cells, noise, m.Alpha, 1/m.split.A)
-	return nil
+	return -1, nil
 }
 
 // smoothScaleCells is the per-cell tail both smooth batch paths share:
@@ -92,40 +89,6 @@ func smoothScaleCells(out []float64, cells []CellInput, noise []float64, alpha, 
 		}
 		out[i] = cells[i].Count + sens*invA*noise[i]
 	}
-}
-
-// ExpectedL1 returns the exact expected L1 error for the cell:
-// S*/a · E|η| = max(x_v·α, 1)·5/ε₁ · (1/√2).
-func (m SmoothGamma) ExpectedL1(in CellInput) float64 {
-	if !(m.split.A > 0) {
-		return expInvalid
-	}
-	sens, err := smooth.Sensitivity(in.MaxContribution, m.Alpha, m.split.B)
-	if err != nil {
-		return expInvalid
-	}
-	return smooth.ExpectedL1(sens, m.split, m.noise)
-}
-
-// SmoothGammaWithSplit returns the mechanism with an explicit ε₁/ε₂
-// split instead of Algorithm 2's default. The split must keep
-// ε₁+ε₂ ≤ ε, ε₁ > 0, and e^{ε₂/5} ≥ 1+α. This is the knob the budget-split
-// ablation benchmark sweeps to show the paper's default (smallest valid
-// ε₂) minimizes error.
-func SmoothGammaWithSplit(alpha, eps, eps2 float64) (SmoothGamma, error) {
-	if !(eps > 0) || !(alpha > 0) {
-		return SmoothGamma{}, fmt.Errorf("mech: SmoothGamma requires alpha, eps > 0")
-	}
-	eps1 := eps - eps2
-	if !(eps1 > 0) {
-		return SmoothGamma{}, fmt.Errorf("mech: split eps2=%v leaves no sliding budget at eps=%v", eps2, eps)
-	}
-	n := smooth.GenCauchyNoise{}
-	split := smooth.Split{Eps1: eps1, Eps2: eps2, A: n.SlideBound(eps1), B: n.DilateBound(eps2)}
-	if _, err := smooth.Sensitivity(1, alpha, split.B); err != nil {
-		return SmoothGamma{}, fmt.Errorf("mech: split eps2=%v too small: %w", eps2, err)
-	}
-	return SmoothGamma{Alpha: alpha, Eps: eps, split: split}, nil
 }
 
 // SmoothLaplace is Algorithm 3 of the paper: the smooth-sensitivity
@@ -162,9 +125,6 @@ func (m SmoothLaplace) Name() string {
 	return fmt.Sprintf("smooth-laplace(alpha=%g,eps=%g,delta=%g)", m.Alpha, m.Eps, m.Delta)
 }
 
-// Split exposes the admissibility parameters.
-func (m SmoothLaplace) Split() smooth.Split { return m.split }
-
 // ReleaseCell applies Algorithm 3 to the cell.
 func (m SmoothLaplace) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) {
 	if !(m.split.A > 0) {
@@ -180,27 +140,14 @@ func (m SmoothLaplace) ReleaseCell(in CellInput, s *dist.Stream) (float64, error
 // releaseCellRange is the batch path for Algorithm 3; see
 // SmoothGamma.releaseCellRange — identical structure (hoisted 1/a,
 // inlined local sensitivity) with unit Laplace noise.
-func (m SmoothLaplace) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) error {
+func (m SmoothLaplace) releaseCellRange(out []float64, cells []CellInput, parent *dist.Stream, base int, noise []float64) (int, error) {
 	if !(m.split.A > 0) {
-		return fmt.Errorf("mech: SmoothLaplace not initialized; use NewSmoothLaplace")
+		return 0, fmt.Errorf("mech: SmoothLaplace not initialized; use NewSmoothLaplace")
 	}
 	if _, err := smooth.Sensitivity(0, m.Alpha, m.split.B); err != nil {
-		return err
+		return 0, err
 	}
 	dist.FillSplit(noise, dist.NewLaplace(1), parent, "cell", base)
 	smoothScaleCells(out, cells, noise, m.Alpha, 1/m.split.A)
-	return nil
-}
-
-// ExpectedL1 returns the exact expected L1 error for the cell:
-// S*/(ε/2)·1 = 2·max(x_v·α, 1)/ε.
-func (m SmoothLaplace) ExpectedL1(in CellInput) float64 {
-	if !(m.split.A > 0) {
-		return expInvalid
-	}
-	sens, err := smooth.Sensitivity(in.MaxContribution, m.Alpha, m.split.B)
-	if err != nil {
-		return expInvalid
-	}
-	return smooth.ExpectedL1(sens, m.split, m.noise)
+	return -1, nil
 }

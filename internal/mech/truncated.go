@@ -57,59 +57,3 @@ func (m TruncatedLaplace) ReleaseCounts(truncated []int64, s *dist.Stream) ([]fl
 	}
 	return noisy, nil
 }
-
-// NoiseExpectedL1 returns the per-cell expected L1 error from the Laplace
-// component alone, θ/ε. The truncation bias comes on top and depends on
-// the data, not the mechanism.
-func (m TruncatedLaplace) NoiseExpectedL1() float64 {
-	return float64(m.Theta) / m.Eps
-}
-
-// Clamped wraps a cell mechanism and truncates its releases at zero.
-// Employment counts are non-negative, and clamping is post-processing, so
-// the wrapped mechanism's privacy guarantee is preserved while L1 error
-// can only shrink.
-type Clamped struct {
-	Inner CellMechanism
-}
-
-// Name identifies the wrapper and its inner mechanism.
-func (c Clamped) Name() string { return "clamped(" + c.Inner.Name() + ")" }
-
-// ReleaseCell releases through the inner mechanism and clamps at zero.
-func (c Clamped) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) {
-	v, err := c.Inner.ReleaseCell(in, s)
-	if err != nil {
-		return 0, err
-	}
-	return clampNonNegative(v), nil
-}
-
-// ExpectedL1 returns the inner mechanism's expected L1 error, which upper
-// bounds the clamped error.
-func (c Clamped) ExpectedL1(in CellInput) float64 { return c.Inner.ExpectedL1(in) }
-
-// Rounded wraps a cell mechanism and rounds its releases to the nearest
-// non-negative integer, matching the integer counts agencies actually
-// publish. Rounding is post-processing and preserves privacy.
-type Rounded struct {
-	Inner CellMechanism
-}
-
-// Name identifies the wrapper and its inner mechanism.
-func (r Rounded) Name() string { return "rounded(" + r.Inner.Name() + ")" }
-
-// ReleaseCell releases through the inner mechanism, clamps at zero and
-// rounds to an integer.
-func (r Rounded) ReleaseCell(in CellInput, s *dist.Stream) (float64, error) {
-	v, err := r.Inner.ReleaseCell(in, s)
-	if err != nil {
-		return 0, err
-	}
-	v = clampNonNegative(v)
-	return float64(int64(v + 0.5)), nil
-}
-
-// ExpectedL1 returns the inner expected error plus the worst-case
-// rounding error of 1/2.
-func (r Rounded) ExpectedL1(in CellInput) float64 { return r.Inner.ExpectedL1(in) + 0.5 }

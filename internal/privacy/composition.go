@@ -83,59 +83,6 @@ func SequentialCompose(a, b Loss) (Loss, error) {
 	return Loss{Def: a.Def, Alpha: a.Alpha, Eps: a.Eps + b.Eps, Delta: a.Delta + b.Delta}, nil
 }
 
-// Partition describes how two sub-releases split the data, for parallel
-// composition.
-type Partition int
-
-const (
-	// DistinctEstablishments: the sub-datasets pertain to disjoint sets of
-	// establishments (Theorem 7.4): parallel composition holds for both
-	// strong and weak ER-EE privacy.
-	DistinctEstablishments Partition = iota
-	// DistinctWorkersSharedEstablishments: the sub-datasets pertain to
-	// disjoint workers but can share establishments — e.g. "males in New
-	// York" and "females in New York" (Theorem 7.5): parallel composition
-	// holds for strong ER-EE privacy but NOT for weak.
-	DistinctWorkersSharedEstablishments
-)
-
-// String names the partition for diagnostics.
-func (p Partition) String() string {
-	switch p {
-	case DistinctEstablishments:
-		return "distinct-establishments"
-	case DistinctWorkersSharedEstablishments:
-		return "distinct-workers-shared-establishments"
-	}
-	return fmt.Sprintf("Partition(%d)", int(p))
-}
-
-// ParallelCompose implements Theorems 7.4 and 7.5: the loss of releasing
-// two mechanisms on disjoint parts of the data. For partitions where
-// parallel composition holds the total ε is the max of the parts; where
-// it does not hold (weak privacy across workers sharing establishments)
-// it falls back to sequential composition and reports that via the
-// returned fellBack flag.
-func ParallelCompose(a, b Loss, p Partition) (total Loss, fellBack bool, err error) {
-	if err := compatible(a, b); err != nil {
-		return Loss{}, false, err
-	}
-	holds := true
-	if p == DistinctWorkersSharedEstablishments && a.Def == WeakEREE {
-		holds = false
-	}
-	if !holds {
-		seq, err := SequentialCompose(a, b)
-		return seq, true, err
-	}
-	return Loss{
-		Def:   a.Def,
-		Alpha: a.Alpha,
-		Eps:   math.Max(a.Eps, b.Eps),
-		Delta: math.Max(a.Delta, b.Delta),
-	}, false, nil
-}
-
 // MarginalLoss returns the effective privacy loss of releasing every cell
 // of a marginal query with per-cell loss cellLoss (Section 8's composition
 // discussion):

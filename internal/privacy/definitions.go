@@ -144,15 +144,3 @@ func Satisfies(d Definition, r Requirement) Satisfaction {
 	}
 	panic(fmt.Sprintf("privacy: unknown definition %d", int(d)))
 }
-
-// SatisfiesAll reports whether the definition satisfies all three
-// requirements against informed attackers (weak-adversary-only entries do
-// not count).
-func SatisfiesAll(d Definition) bool {
-	for _, r := range Requirements() {
-		if Satisfies(d, r) != Yes {
-			return false
-		}
-	}
-	return true
-}

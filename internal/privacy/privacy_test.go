@@ -26,15 +26,6 @@ func TestTable1Matrix(t *testing.T) {
 	}
 }
 
-func TestSatisfiesAll(t *testing.T) {
-	if SatisfiesAll(InputNoiseInfusion) || SatisfiesAll(EdgeDP) || SatisfiesAll(WeakEREE) {
-		t.Error("definitions that fail a requirement reported as satisfying all")
-	}
-	if !SatisfiesAll(NodeDP) || !SatisfiesAll(StrongEREE) {
-		t.Error("NodeDP and StrongEREE satisfy all requirements")
-	}
-}
-
 func TestStrings(t *testing.T) {
 	for _, d := range Definitions() {
 		if d.String() == "" {

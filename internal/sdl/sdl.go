@@ -120,16 +120,3 @@ func (sys *System) ReleaseMarginal(t *table.Table, q *table.Query, s *dist.Strea
 	}
 	return out, nil
 }
-
-// L1Error returns the L1 distance between an SDL release and the true
-// counts — the denominator of every error ratio in Section 10.
-func L1Error(released []float64, truth []int64) float64 {
-	if len(released) != len(truth) {
-		panic(fmt.Sprintf("sdl: length mismatch %d vs %d", len(released), len(truth)))
-	}
-	var sum float64
-	for i := range released {
-		sum += math.Abs(released[i] - float64(truth[i]))
-	}
-	return sum
-}

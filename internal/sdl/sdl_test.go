@@ -1,6 +1,7 @@
 package sdl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -236,4 +237,17 @@ func TestSDLOnLODES(t *testing.T) {
 	if l1 <= 0 || l1 > maxL1 {
 		t.Errorf("SDL L1 = %v, want in (0, %v]", l1, maxL1)
 	}
+}
+
+// L1Error returns the L1 distance between an SDL release and the true
+// counts — the denominator of every error ratio in Section 10.
+func L1Error(released []float64, truth []int64) float64 {
+	if len(released) != len(truth) {
+		panic(fmt.Sprintf("sdl: length mismatch %d vs %d", len(released), len(truth)))
+	}
+	var sum float64
+	for i := range released {
+		sum += math.Abs(released[i] - float64(truth[i]))
+	}
+	return sum
 }

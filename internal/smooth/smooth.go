@@ -33,21 +33,6 @@ func LocalSensitivity(xv int64, alpha float64) float64 {
 	return ls
 }
 
-// SensitivityAtDistance returns A^(j)(x) = max over databases y within
-// neighbor distance j of the local sensitivity (the inner max in
-// Definition 8.2). At distance j, the largest establishment contribution
-// can have grown to x_v·(1+α)^j, so A^(j) = max(x_v·α·(1+α)^j, 1).
-func SensitivityAtDistance(xv int64, alpha float64, j int) float64 {
-	if j < 0 {
-		panic(fmt.Sprintf("smooth: negative distance %d", j))
-	}
-	ls := float64(xv) * alpha * math.Pow(1+alpha, float64(j))
-	if ls < 1 {
-		return 1
-	}
-	return ls
-}
-
 // ErrUnboundedSensitivity reports that the requested smoothing parameter b
 // cannot bound the smooth sensitivity: by Lemma 8.5, when e^b < 1+α the
 // supremum of e^{-jb}·A^(j) diverges, because each neighbor step can grow

@@ -2,6 +2,7 @@ package smooth
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -396,4 +397,19 @@ func TestReleasePanics(t *testing.T) {
 		}()
 		Release(1, -1, Split{A: 1}, GenCauchyNoise{}, dist.NewStreamFromSeed(1))
 	}()
+}
+
+// SensitivityAtDistance returns A^(j)(x) = max over databases y within
+// neighbor distance j of the local sensitivity (the inner max in
+// Definition 8.2). At distance j, the largest establishment contribution
+// can have grown to x_v·(1+α)^j, so A^(j) = max(x_v·α·(1+α)^j, 1).
+func SensitivityAtDistance(xv int64, alpha float64, j int) float64 {
+	if j < 0 {
+		panic(fmt.Sprintf("smooth: negative distance %d", j))
+	}
+	ls := float64(xv) * alpha * math.Pow(1+alpha, float64(j))
+	if ls < 1 {
+		return 1
+	}
+	return ls
 }

@@ -32,10 +32,3 @@ func FromMarginal(m *table.Marginal) (*Table, error) {
 	}
 	return NewTable(cells)
 }
-
-// CellLabel renders the (row, col) cell of a marginal-derived table using
-// the marginal's attribute values, for diagnostics.
-func CellLabel(m *table.Marginal, r, c int) string {
-	q := m.Query
-	return q.CellString(q.CellKey(r, c))
-}

@@ -453,18 +453,3 @@ func propagate(residual float64, keys [][2]int, intervals map[[2]int]Interval, u
 		update(k, math.Max(0, lo), hi)
 	}
 }
-
-// ProtectedWithin reports whether the audit leaves every suppressed cell
-// with an interval at least band wide relative to its true value — the
-// inferential-protection question the paper asks of every SDL method.
-// It returns the first violating cell, if any.
-func ProtectedWithin(t *Table, p *Pattern, band float64) (ok bool, violation [2]int, iv Interval) {
-	audit := Audit(t, p)
-	for key, interval := range audit {
-		true_ := float64(t.Cells[key[0]][key[1]].Count)
-		if interval.Width() < band*math.Max(true_, 1) {
-			return false, key, interval
-		}
-	}
-	return true, [2]int{-1, -1}, Interval{}
-}

@@ -1,6 +1,7 @@
 package suppress
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -350,9 +351,6 @@ func TestFromMarginal(t *testing.T) {
 	if st.Cells[1][1].Contributors != 1 || st.Cells[1][1].Largest != 9 {
 		t.Errorf("mining/b cell = %+v", st.Cells[1][1])
 	}
-	if CellLabel(m, 0, 0) != "industry=retail,place=a" {
-		t.Errorf("label = %q", CellLabel(m, 0, 0))
-	}
 }
 
 func TestFromMarginalRejectsWrongArity(t *testing.T) {
@@ -363,4 +361,19 @@ func TestFromMarginalRejectsWrongArity(t *testing.T) {
 	if _, err := FromMarginal(m); err == nil {
 		t.Error("one-attribute marginal accepted")
 	}
+}
+
+// ProtectedWithin reports whether the audit leaves every suppressed cell
+// with an interval at least band wide relative to its true value — the
+// inferential-protection question the paper asks of every SDL method.
+// It returns the first violating cell, if any.
+func ProtectedWithin(t *Table, p *Pattern, band float64) (ok bool, violation [2]int, iv Interval) {
+	audit := Audit(t, p)
+	for key, interval := range audit {
+		true_ := float64(t.Cells[key[0]][key[1]].Count)
+		if interval.Width() < band*math.Max(true_, 1) {
+			return false, key, interval
+		}
+	}
+	return true, [2]int{-1, -1}, Interval{}
 }

@@ -45,19 +45,6 @@ func NewDomain(name string, values ...string) *Domain {
 	return &Domain{Name: name, Values: values, index: idx}
 }
 
-// IntRangeDomain builds a domain whose values are the decimal strings
-// lo..hi inclusive, a convenience for bucketed numeric attributes.
-func IntRangeDomain(name string, lo, hi int) *Domain {
-	if hi < lo {
-		panic(fmt.Sprintf("table: IntRangeDomain %q has hi < lo", name))
-	}
-	values := make([]string, 0, hi-lo+1)
-	for v := lo; v <= hi; v++ {
-		values = append(values, fmt.Sprintf("%d", v))
-	}
-	return NewDomain(name, values...)
-}
-
 // Size returns the number of values in the domain.
 func (d *Domain) Size() int { return len(d.Values) }
 

@@ -222,3 +222,9 @@ func TestSortedIndexIdentityMode(t *testing.T) {
 		}
 	}
 }
+
+// ComputeReferenceDetailed is ComputeReference with the per-entity
+// histogram, the oracle for ComputeDetailed.
+func ComputeReferenceDetailed(t *Table, q *Query) (*Marginal, []CellEntityCount) {
+	return computeReferenceImpl(t, q, true)
+}

@@ -239,12 +239,6 @@ func ComputeReference(t *Table, q *Query) *Marginal {
 	return m
 }
 
-// ComputeReferenceDetailed is ComputeReference with the per-entity
-// histogram, the oracle for ComputeDetailed.
-func ComputeReferenceDetailed(t *Table, q *Query) (*Marginal, []CellEntityCount) {
-	return computeReferenceImpl(t, q, true)
-}
-
 func computeReferenceImpl(t *Table, q *Query, detailed bool) (*Marginal, []CellEntityCount) {
 	if t.Schema() != q.schema {
 		panic("table: query compiled against a different schema")

@@ -119,58 +119,6 @@ func (t *Table) AdoptIndex(ix *Index) {
 	t.idxMu.Unlock()
 }
 
-// AffectedCells returns, for each query, the sorted cell keys whose
-// marginal statistics can differ between base's table and next's: a
-// cell is affected when some touched entity's per-cell contribution to
-// it differs between the two snapshots. Untouched entities' rows are
-// copied verbatim across snapshots, so a query whose affected set is
-// empty has a bit-identical marginal (counts, top-two entity
-// contributions, and distinct-entity counts all unchanged) — the
-// soundness contract selective cache invalidation relies on.
-//
-// Both indexes must be over entity-complete tables (no entity-less
-// rows) sharing one schema, and every query must be compiled against
-// that schema. touched must be sorted ascending.
-func AffectedCells(base, next *Index, touched []int32, qs []*Query) [][]int {
-	out := make([][]int, len(qs))
-	if len(touched) == 0 {
-		return out
-	}
-	for k, q := range qs {
-		if q.schema != base.t.Schema() || q.schema != next.t.Schema() {
-			panic("table: AffectedCells query compiled against a different schema")
-		}
-		baseCols := queryCols(base, q)
-		nextCols := queryCols(next, q)
-		affected := make(map[int]bool)
-		oldCells := make(map[int]int64)
-		newCells := make(map[int]int64)
-		for _, e := range touched {
-			clear(oldCells)
-			clear(newCells)
-			entityCells(base, baseCols, q.radices, e, oldCells)
-			entityCells(next, nextCols, q.radices, e, newCells)
-			for key, c := range oldCells {
-				if newCells[key] != c {
-					affected[key] = true
-				}
-			}
-			for key, c := range newCells {
-				if oldCells[key] != c {
-					affected[key] = true
-				}
-			}
-		}
-		keys := make([]int, 0, len(affected))
-		for key := range affected {
-			keys = append(keys, key)
-		}
-		sort.Ints(keys)
-		out[k] = keys
-	}
-	return out
-}
-
 // Affected reports, per query, whether the delta can have changed it at
 // all — the boolean the publisher's selective invalidation needs (it
 // drops a marginal iff its affected-cell set is nonempty, and never

@@ -295,13 +295,6 @@ type viewChange struct {
 	next int32 // next change of the same cell (chain), -1 at the end
 }
 
-// Query returns the query the view maintains.
-func (v *MarginalView) Query() *Query { return v.q }
-
-// Marginal returns the view's current truth. It is shared and must be
-// treated as read-only.
-func (v *MarginalView) Marginal() *Marginal { return v.m }
-
 // newEmptyMarginal allocates an all-zero marginal for q.
 func newEmptyMarginal(q *Query) *Marginal {
 	return &Marginal{

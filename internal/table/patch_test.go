@@ -360,3 +360,10 @@ func FuzzPatchDifferential(f *testing.F) {
 		}, "fuzz")
 	})
 }
+
+// Query returns the query the view maintains.
+func (v *MarginalView) Query() *Query { return v.q }
+
+// Marginal returns the view's current truth. It is shared and must be
+// treated as read-only.
+func (v *MarginalView) Marginal() *Marginal { return v.m }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -442,4 +443,17 @@ func TestComputeSecondEntitySingleContributor(t *testing.T) {
 	if m.SecondEntityContribution[cell] != 0 {
 		t.Errorf("second with one contributor = %d, want 0", m.SecondEntityContribution[cell])
 	}
+}
+
+// IntRangeDomain builds a domain whose values are the decimal strings
+// lo..hi inclusive, a convenience for bucketed numeric attributes.
+func IntRangeDomain(name string, lo, hi int) *Domain {
+	if hi < lo {
+		panic(fmt.Sprintf("table: IntRangeDomain %q has hi < lo", name))
+	}
+	values := make([]string, 0, hi-lo+1)
+	for v := lo; v <= hi; v++ {
+		values = append(values, fmt.Sprintf("%d", v))
+	}
+	return NewDomain(name, values...)
 }

@@ -149,7 +149,7 @@ ppid=$!
 pids+=("$ppid")
 wait_ready "$pbase"
 "$bin/ereeserve" -demo -addr "127.0.0.1:$fport" -state-dir "$bin/fstate" \
-  -replicate-from "$pbase" -repl-poll 25ms &
+  -replicate-from "$pbase" &
 fpid=$!
 pids+=("$fpid")
 wait_ready "$fbase"
