@@ -194,7 +194,9 @@ func BenchmarkGenCauchySample(b *testing.B) {
 	}
 }
 
-// BenchmarkLaplaceSample measures the Laplace sampler.
+// BenchmarkLaplaceSample measures the Laplace sampler. BENCH.json's gate
+// bounds BenchmarkGenCauchySample over it, so a slower or faster host
+// cancels out of the generalized-Cauchy sampler's time.
 func BenchmarkLaplaceSample(b *testing.B) {
 	l := dist.NewLaplace(1)
 	s := dist.NewStreamFromSeed(5)
@@ -225,8 +227,9 @@ func BenchmarkMarginalComputeUnpacked(b *testing.B) {
 }
 
 // BenchmarkMarginalComputeReference measures the seed engine — the scalar
-// per-(cell, entity) hash-map group-by — on the same marginal, the
-// baseline BENCH_baseline.json tracks the indexed engine against.
+// per-(cell, entity) hash-map group-by — on the same marginal: the
+// counterfactual of BENCH.json's gated ratio
+// BenchmarkMarginalComputeUnpacked / BenchmarkMarginalComputeReference.
 func BenchmarkMarginalComputeReference(b *testing.B) {
 	d := benchDataset(b)
 	q := table.MustNewQuery(d.Schema(), lodes.AttrPlace, lodes.AttrIndustry, lodes.AttrOwnership)
@@ -375,7 +378,8 @@ func BenchmarkReleaseTruncated(b *testing.B) {
 // copy-on-write cache (one atomic load, no lock), so throughput scales
 // with GOMAXPROCS instead of flatlining on a shared mutex; on a
 // single-core host the number reads as the sequential cached cost plus
-// scheduler overhead (see BENCH_release_path.json's environment note).
+// scheduler overhead (see the environment note of BENCH.json's
+// release_path trajectory entry).
 func BenchmarkPublisherMarginalConcurrent(b *testing.B) {
 	p := core.NewPublisher(benchDataset(b))
 	req := core.Request{
@@ -573,8 +577,7 @@ func benchDeltaWorkloads() [][]string {
 // Compare BenchmarkAdvanceRebuild, which replays the identical chain
 // and ends every quarter in the same warm state via a from-scratch
 // index build, so the difference is exactly what incremental
-// maintenance saves. This is the benchmark the CI gate tracks
-// (BENCH_incremental.json).
+// maintenance saves. The CI gate tracks its allocs/op (BENCH.json).
 func BenchmarkAdvanceIncremental(b *testing.B) {
 	d, chain := benchDeltaSetup(b)
 	w := benchDeltaWorkloads()
@@ -777,8 +780,8 @@ func benchFreshChain(b *testing.B) []*table.Index {
 // behavior on the identical chain and working set. Both end every
 // quarter with the same bit-identical truths (the differential suites
 // in internal/table/patch_test.go and internal/core/epoch_test.go
-// prove it), so the ratio is exactly what patching saves. This is the
-// benchmark the CI gate tracks (BENCH_incremental.json).
+// prove it), so the ratio is exactly what patching saves. The CI gate
+// tracks that ratio and this benchmark's allocs/op (BENCH.json).
 func BenchmarkAdvancePatched(b *testing.B) {
 	benchPatchSetup(b)
 	b.ResetTimer()
@@ -816,7 +819,8 @@ func BenchmarkAdvancePatched(b *testing.B) {
 // old selective-invalidation path dropped the entry). The per-quarter
 // cost is O(affected marginals × table rows) regardless of how little
 // the delta changed. Indexes come fresh from benchFreshChain, exactly
-// as the patched benchmark's do.
+// as the patched benchmark's do. BENCH.json's gate bounds the ratio of
+// the two.
 func BenchmarkAdvanceEvictRescan(b *testing.B) {
 	benchPatchSetup(b)
 	b.ResetTimer()

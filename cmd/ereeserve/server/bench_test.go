@@ -17,8 +17,8 @@ import (
 // BenchmarkServeMarginal measures the full single-goroutine handler
 // path for a warm-cache workload-1 release: decode, auth, budget
 // admission, cached truth lookup, per-cell noise, JSON render. No
-// socket — the network is not the subsystem under test. Gated in CI
-// against BENCH_serve.json.
+// socket — the network is not the subsystem under test. CI gates its
+// allocs/op (BENCH.json).
 func BenchmarkServeMarginal(b *testing.B) {
 	cfg := lodes.TestConfig()
 	cfg.NumEstablishments = 500
@@ -64,7 +64,7 @@ func BenchmarkServeMarginal(b *testing.B) {
 // record before responding. The gap between the two benchmarks is the
 // durability tax — group commit amortizes it under concurrency, but
 // this single-goroutine run pays one fsync per release, the honest
-// worst case. Gated in CI against BENCH_serve.json.
+// worst case. CI gates its allocs/op (BENCH.json).
 func BenchmarkServeMarginalDurable(b *testing.B) {
 	cfg := lodes.TestConfig()
 	cfg.NumEstablishments = 500
@@ -115,8 +115,8 @@ func BenchmarkServeMarginalDurable(b *testing.B) {
 // observed), then applied to the node's state through applyRecord, the
 // identical code recovery runs, digest verification included. The
 // record stream is real: spend records a durable primary journaled
-// serving the workload-1 marginal. BENCH_serve.json's replication
-// block records the result.
+// serving the workload-1 marginal. The replication block of BENCH.json's
+// serve trajectory entry records the result.
 func BenchmarkFollowerApply(b *testing.B) {
 	cfg := lodes.TestConfig()
 	cfg.NumEstablishments = 500

@@ -116,3 +116,40 @@ func TestBudgetStatusAndStats(t *testing.T) {
 		t.Error("stats carries no cache counters")
 	}
 }
+
+// TestLogLaplaceOverflowRefusedBeforeCharge: a Log-Laplace (α, ε) whose
+// largest draw could overflow float64 for some count is refused as a
+// bad request before admission, on every release endpoint. It answers
+// 400 and charges nothing, where it used to charge the tenant and then
+// fail to encode an infinite cell with a 500. Just above the bound the
+// same requests release.
+func TestLogLaplaceOverflowRefusedBeforeCharge(t *testing.T) {
+	srv, hs := newTestServer(t, 1, Options{NoiseSeed: 7}, nil)
+	acct := tenantOf(t, srv, "alpha").Acct
+	const w1 = `"attrs":["place","industry","ownership"],"mechanism":"log-laplace","alpha":0.1`
+	requests := func(eps string) []struct{ path, body string } {
+		return []struct{ path, body string }{
+			{"/v1/release", `{` + w1 + `,"eps":` + eps + `}`},
+			{"/v1/batch", `{"requests":[{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":1},{` + w1 + `,"eps":` + eps + `}]}`},
+			{"/v1/cell", `{"attrs":["industry"],"mechanism":"log-laplace","alpha":0.1,"eps":` + eps + `,"values":["44-Retail"]}`},
+		}
+	}
+	for _, eps := range []string{"1e-320", "0.001", "0.002", "0.01"} {
+		for _, r := range requests(eps) {
+			spent, releases := acct.Spent(), acct.Releases()
+			status, body := do(t, hs, "POST", r.path, keyAlpha, r.body)
+			if status != http.StatusBadRequest {
+				t.Errorf("%s %s = %d, want 400: %s", r.path, r.body, status, body)
+			}
+			if got := acct.Spent(); got != spent || acct.Releases() != releases {
+				t.Errorf("%s %s: spend moved from %+v (%d releases) to %+v (%d releases)",
+					r.path, r.body, spent, releases, got, acct.Releases())
+			}
+		}
+	}
+	for _, r := range requests("0.011") {
+		if status, body := do(t, hs, "POST", r.path, keyAlpha, r.body); status != http.StatusOK {
+			t.Errorf("%s %s = %d, want 200: %s", r.path, r.body, status, body)
+		}
+	}
+}

@@ -189,11 +189,14 @@ func TestDrainRefusesNewAdvance(t *testing.T) {
 	}
 }
 
-// TestLoadShedding: with MaxInFlight=1, a request held in its handler
-// causes the next one to be shed with 503 + Retry-After instead of
-// queueing behind it; the slot frees once the first completes.
+// TestLoadShedding: with one in-flight slot, a request held in its
+// handler causes the next one to be shed with 503 + Retry-After instead
+// of queueing behind it; the slot frees once the first completes.
 func TestLoadShedding(t *testing.T) {
-	srv, hs := newTestServer(t, 1, Options{NoiseSeed: 7, MaxInFlight: 1}, nil)
+	srv := New(core.NewPublisher(testDataset(t, 1)), testRegistry(t, nil), Options{NoiseSeed: 7})
+	srv.maxInFlight = 1
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
 	// Hold a request in-flight: stream its body through a pipe the
 	// handler blocks reading.
 	pr, pw := io.Pipe()

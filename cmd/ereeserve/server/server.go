@@ -106,7 +106,8 @@ type Server struct {
 	// state is the lifecycle gate (starting → ready → draining).
 	state atomic.Int32
 	// inflight counts requests inside the /v1 endpoints, for load
-	// shedding; maxInFlight bounds it.
+	// shedding; maxInFlight bounds it (defaultMaxInFlight; tests lower
+	// it before serving).
 	inflight    atomic.Int64
 	maxInFlight int
 	// reqTimeout, when positive, bounds each release endpoint's handler
@@ -155,10 +156,6 @@ type Options struct {
 	// StateDir, when non-empty, enables durable accounting: Open
 	// recovers from it and journals every charge to it. Ignored by New.
 	StateDir string
-	// MaxInFlight bounds concurrently served /v1 requests; excess is
-	// shed with 503 + Retry-After. 0 means the default (256), negative
-	// disables shedding.
-	MaxInFlight int
 	// ReplicateFrom, when non-empty, boots the server as a follower
 	// mirroring the primary at this base URL (requires StateDir and
 	// AdminKey — the replication endpoints authenticate with the shared
@@ -167,6 +164,8 @@ type Options struct {
 	ReplicateFrom string
 }
 
+// defaultMaxInFlight bounds concurrently served /v1 requests; excess is
+// shed with 503 + Retry-After.
 const defaultMaxInFlight = 256
 
 // newServer builds the server in stateStarting; callers mark it ready.
@@ -174,10 +173,6 @@ func newServer(pub *core.Publisher, reg *privacy.Registry, opts Options) *Server
 	cfg := lodes.DefaultDeltaConfig()
 	if opts.DeltaConfig != nil {
 		cfg = *opts.DeltaConfig
-	}
-	maxInFlight := opts.MaxInFlight
-	if maxInFlight == 0 {
-		maxInFlight = defaultMaxInFlight
 	}
 	s := &Server{
 		pub:         pub,
@@ -187,7 +182,7 @@ func newServer(pub *core.Publisher, reg *privacy.Registry, opts Options) *Server
 		deltaCfg:    cfg,
 		deltaSeed:   opts.DeltaSeed,
 		replay:      newReplayCache(),
-		maxInFlight: maxInFlight,
+		maxInFlight: defaultMaxInFlight,
 	}
 	// Every node starts at term 1 until recovery or a stream says
 	// otherwise; an in-memory server keeps it.
@@ -432,7 +427,7 @@ func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 		}
 		n := s.inflight.Add(1)
 		defer s.inflight.Add(-1)
-		if s.maxInFlight > 0 && n > int64(s.maxInFlight) {
+		if n > int64(s.maxInFlight) {
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "service is overloaded"})
 			return

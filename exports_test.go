@@ -22,7 +22,7 @@ var testOnlyExports = map[string]string{
 	"internal/lodes.MustGenerate":          "dataset fixture shared by the tests of many packages",
 	"internal/mech.ReleaseCellsSequential": "per-cell reference loop the batch release path is tested against; gated by BenchmarkReleaseCellsSequential in the root package",
 	"internal/smooth.ExpectedL1":           "Lemma 8.8's closed-form error, the oracle of both smooth's and mech's sampling tests",
-	"internal/table.ComputeReference":      "scalar group-by oracle that core's epoch tests and table's differential suites compare against",
+	"internal/table.ComputeReference":      "scalar group-by oracle that core's epoch tests and table's differential suites compare against; BenchmarkMarginalComputeReference times it as the counterfactual of a ratio BENCH.json gates",
 	"internal/table.MustNewQuery":          "query fixture shared by the tests of many packages",
 }
 

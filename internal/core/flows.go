@@ -20,12 +20,7 @@ func ReleaseFlows(f *qwi.Flows, req Request, s *dist.Stream) (*qwi.FlowRelease, 
 	if err != nil {
 		return nil, privacy.Loss{}, err
 	}
-	def := definitionFor(req.Mechanism, f.Query.AttrNames())
-	alpha := req.Alpha
-	if def == privacy.EdgeDP {
-		alpha = 0
-	}
-	perRelease := privacy.Loss{Def: def, Alpha: alpha, Eps: req.Eps, Delta: req.Delta}
+	perRelease := cellLoss(req, definitionFor(req.Mechanism, f.Query.AttrNames()))
 	if err := perRelease.Validate(); err != nil {
 		return nil, privacy.Loss{}, err
 	}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -192,51 +193,68 @@ func definitionFor(kind MechanismKind, attrs []string) privacy.Definition {
 	return privacy.StrongEREE
 }
 
+// NewCellMechanism constructs the cell-level mechanism of a kind. Parameters
+// outside the mechanism's validity region return mech's own error, unwrapped;
+// a kind that is not a cell-level mechanism returns an ErrInvalidRequest.
+func NewCellMechanism(kind MechanismKind, alpha, eps, delta float64) (mech.CellMechanism, error) {
+	var m mech.CellMechanism
+	var err error
+	switch kind {
+	case MechLogLaplace:
+		m, err = mech.NewLogLaplace(alpha, eps)
+	case MechSmoothGamma:
+		m, err = mech.NewSmoothGamma(alpha, eps)
+	case MechSmoothLaplace:
+		m, err = mech.NewSmoothLaplace(alpha, eps, delta)
+	case MechEdgeLaplace:
+		m, err = mech.NewEdgeLaplace(eps)
+	case MechTruncatedLaplace:
+		return nil, fmt.Errorf("%w: truncated-laplace is a marginal-level mechanism", ErrInvalidRequest)
+	default:
+		return nil, fmt.Errorf("%w: unknown mechanism kind %v", ErrInvalidRequest, kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // cellMechanism constructs the cell-level mechanism for a request, or an
 // ErrInvalidRequest when the parameters fall outside its validity region
 // (or the kind itself is not a cell-level mechanism).
 func cellMechanism(req Request) (mech.CellMechanism, error) {
-	var m mech.CellMechanism
-	var err error
-	switch req.Mechanism {
-	case MechLogLaplace:
-		m, err = mech.NewLogLaplace(req.Alpha, req.Eps)
-	case MechSmoothGamma:
-		m, err = mech.NewSmoothGamma(req.Alpha, req.Eps)
-	case MechSmoothLaplace:
-		m, err = mech.NewSmoothLaplace(req.Alpha, req.Eps, req.Delta)
-	case MechEdgeLaplace:
-		m, err = mech.NewEdgeLaplace(req.Eps)
-	case MechTruncatedLaplace:
-		return nil, fmt.Errorf("%w: truncated-laplace is a marginal-level mechanism", ErrInvalidRequest)
-	default:
-		return nil, fmt.Errorf("%w: unknown mechanism kind %v", ErrInvalidRequest, req.Mechanism)
-	}
-	if err != nil {
+	m, err := NewCellMechanism(req.Mechanism, req.Alpha, req.Eps, req.Delta)
+	if err != nil && !errors.Is(err, ErrInvalidRequest) {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	return m, nil
+	return m, err
+}
+
+// cellLoss is the privacy loss of releasing one cell under the request:
+// the classical-DP baselines (edge-DP and node-DP) carry no α.
+func cellLoss(req Request, def privacy.Definition) privacy.Loss {
+	alpha := req.Alpha
+	if def == privacy.EdgeDP || def == privacy.NodeDP {
+		alpha = 0
+	}
+	return privacy.Loss{Def: def, Alpha: alpha, Eps: req.Eps, Delta: req.Delta}
 }
 
 // lossFor derives the effective privacy loss of releasing the full
 // marginal under the request. A loss outside the definition's validity
 // region is an ErrInvalidRequest.
 func lossFor(req Request, def privacy.Definition, schema *table.Schema) (privacy.Loss, error) {
-	alpha := req.Alpha
-	if def == privacy.EdgeDP || def == privacy.NodeDP {
-		alpha = 0
-	}
-	cellLoss := privacy.Loss{Def: def, Alpha: alpha, Eps: req.Eps, Delta: req.Delta}
+	perCell := cellLoss(req, def)
 	if def == privacy.EdgeDP || def == privacy.NodeDP {
 		// Classical DP: marginal cells partition the records (edge-DP) or
 		// establishments (node-DP), so parallel composition gives ε.
-		if err := cellLoss.Validate(); err != nil {
-			return cellLoss, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		if err := perCell.Validate(); err != nil {
+			return perCell, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 		}
-		return cellLoss, nil
+		return perCell, nil
 	}
 	d := lodes.WorkerAttrDomainSize(schema, req.Attrs)
-	loss, err := privacy.MarginalLoss(cellLoss, d)
+	loss, err := privacy.MarginalLoss(perCell, d)
 	if err != nil {
 		return privacy.Loss{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
@@ -405,12 +423,7 @@ func (p *Publisher) ReleaseSingleCell(a *privacy.Accountant, req Request, cellVa
 	}
 	// Every check comes before the truth fetch, so a refused request never
 	// triggers (or caches) a full-table scan.
-	def := definitionFor(req.Mechanism, req.Attrs)
-	alpha := req.Alpha
-	if def == privacy.EdgeDP {
-		alpha = 0
-	}
-	loss = privacy.Loss{Def: def, Alpha: alpha, Eps: req.Eps, Delta: req.Delta}
+	loss = cellLoss(req, definitionFor(req.Mechanism, req.Attrs))
 	if err := loss.Validate(); err != nil {
 		return 0, 0, privacy.Loss{}, epoch, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -190,38 +191,20 @@ func sliceMask(q *table.Query, slice *SliceSpec) ([]bool, error) {
 }
 
 // buildCellMechanism constructs the cell mechanism for a grid point, or
-// reports why the point is skipped.
+// reports why the point is skipped: mech's refusal of its parameters, or
+// a Log-Laplace expectation the grid does not plot.
 func buildCellMechanism(kind core.MechanismKind, alpha, eps, delta float64) (mech.CellMechanism, string, error) {
-	switch kind {
-	case core.MechLogLaplace:
-		m, err := mech.NewLogLaplace(alpha, eps)
-		if err != nil {
-			return nil, err.Error(), nil
-		}
-		if !m.ExpectationBounded() {
-			return nil, "log-laplace expectation unbounded (lambda >= 1)", nil
-		}
-		return m, "", nil
-	case core.MechSmoothGamma:
-		m, err := mech.NewSmoothGamma(alpha, eps)
-		if err != nil {
-			return nil, err.Error(), nil
-		}
-		return m, "", nil
-	case core.MechSmoothLaplace:
-		m, err := mech.NewSmoothLaplace(alpha, eps, delta)
-		if err != nil {
-			return nil, err.Error(), nil
-		}
-		return m, "", nil
-	case core.MechEdgeLaplace:
-		m, err := mech.NewEdgeLaplace(eps)
-		if err != nil {
-			return nil, err.Error(), nil
-		}
-		return m, "", nil
+	m, err := core.NewCellMechanism(kind, alpha, eps, delta)
+	if errors.Is(err, core.ErrInvalidRequest) {
+		return nil, "", fmt.Errorf("eval: mechanism %v is not a cell mechanism", kind)
 	}
-	return nil, "", fmt.Errorf("eval: mechanism %v is not a cell mechanism", kind)
+	if err != nil {
+		return nil, err.Error(), nil
+	}
+	if ll, ok := m.(mech.LogLaplace); ok && !ll.ExpectationBounded() {
+		return nil, "log-laplace expectation unbounded (lambda >= 1)", nil
+	}
+	return m, "", nil
 }
 
 // Metric selects which comparison a grid computes.

@@ -26,7 +26,14 @@ type LogLaplace struct {
 	Alpha, Eps float64
 }
 
-// NewLogLaplace validates the parameters and returns the mechanism.
+// NewLogLaplace validates the parameters and returns the mechanism. It
+// refuses any (α, ε) under which some count below 2⁶³ could release a
+// non-finite value: no log-space draw exceeds ln(2⁵²)·λ (see
+// maxLaplaceScale), so ln(2⁶³ + γ) + ln(2⁵²)·λ must stay below the log
+// of the largest float64. Like maxLaplaceScale, the bound keeps half of
+// it as headroom (math.Exp overflows a few ulps short of
+// ln(math.MaxFloat64)) and depends on the parameters alone. At α = 0.1
+// it refuses ε below about 0.0103.
 func NewLogLaplace(alpha, eps float64) (LogLaplace, error) {
 	if !(alpha > 0) {
 		return LogLaplace{}, fmt.Errorf("mech: LogLaplace requires alpha > 0, got %v", alpha)
@@ -34,7 +41,11 @@ func NewLogLaplace(alpha, eps float64) (LogLaplace, error) {
 	if !(eps > 0) {
 		return LogLaplace{}, fmt.Errorf("mech: LogLaplace requires eps > 0, got %v", eps)
 	}
-	return LogLaplace{Alpha: alpha, Eps: eps}, nil
+	m := LogLaplace{Alpha: alpha, Eps: eps}
+	if top := math.Log(0x1p63+m.Gamma()) + 52*math.Ln2*m.Lambda(); !(top < math.Log(math.MaxFloat64/2)) {
+		return LogLaplace{}, fmt.Errorf("mech: LogLaplace log-space noise scale %g at alpha=%v eps=%v, where a draw could overflow float64", m.Lambda(), alpha, eps)
+	}
+	return m, nil
 }
 
 // Name identifies the mechanism.

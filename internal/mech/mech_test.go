@@ -205,6 +205,44 @@ func TestLogLaplaceValidation(t *testing.T) {
 	}
 }
 
+// TestLogLaplaceOverflowBound: Log-Laplace refuses an (α, ε) whose
+// largest log-space draw could overflow float64 for some count below
+// 2⁶³, and at the smallest accepted ε the most extreme draw the sampler
+// can make, on a count of 2⁶³, still releases a finite value.
+func TestLogLaplaceOverflowBound(t *testing.T) {
+	for _, eps := range []float64{1e-320, 0.001, 0.002, 0.0103} {
+		if _, err := NewLogLaplace(0.1, eps); err == nil {
+			t.Errorf("log-laplace at alpha=0.1 eps=%v accepted", eps)
+		}
+	}
+	if _, err := NewLogLaplace(0.1, 0.0104); err != nil {
+		t.Errorf("log-laplace at alpha=0.1 eps=0.0104 refused: %v", err)
+	}
+	for _, alpha := range []float64{1e-6, 0.01, 0.1, 1, 10, 1e6} {
+		// Bisect, in log space, for the smallest accepted ε.
+		lo, hi := 1e-320, 1e6
+		for i := 0; i < 200; i++ {
+			mid := math.Sqrt(lo) * math.Sqrt(hi)
+			if _, err := NewLogLaplace(alpha, mid); err != nil {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		m, err := NewLogLaplace(alpha, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := dist.NewLaplace(m.Lambda())
+		for _, p := range []float64{0x1p-53, 1 - 0x1p-53} {
+			v := math.Exp(math.Log(float64(math.MaxInt64)+m.Gamma())+l.Quantile(p)) - m.Gamma()
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Errorf("alpha=%v eps=%v: count 2^63 with draw at p=%v releases %v, want finite", alpha, hi, p, v)
+			}
+		}
+	}
+}
+
 func TestSmoothGammaUnbiasedAndScale(t *testing.T) {
 	m, err := NewSmoothGamma(0.1, 2.0)
 	if err != nil {

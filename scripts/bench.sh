@@ -1,32 +1,22 @@
 #!/usr/bin/env bash
-# Canonical benchmark regeneration for BENCH_baseline.json,
-# BENCH_scan_kernel.json, BENCH_release_path.json, BENCH_incremental.json,
-# BENCH_serve.json and BENCH_multicore.json (BENCH_serve.json's
-# end-to-end load numbers come from scripts/serve_smoke.sh -record). The
-# JSON files' numbers come from this script's flags — never from ad-hoc
-# invocations — so recorded runs stay comparable across PRs:
+# Canonical benchmark runs for BENCH.json's trajectory section (its
+# serving entry's end-to-end load numbers come from
+# scripts/serve_smoke.sh -record). Recorded numbers come from this
+# script's flags — never from ad-hoc invocations — so recorded runs stay
+# comparable across changes:
 #
 #   micro suite:        go test -run '^$' -bench . -benchtime 2s .
 #   paper-scale suite:  EREE_LARGE_BENCH=1 go test -run '^$' \
 #                         -bench BenchmarkLargeScale -benchtime 20x .
-#   multicore sweep:    go test -run '^$' -bench <scan+release set> \
-#                         -benchtime 2s -cpu 1,2,4,8 .
 #   national suite:     EREE_NATIONAL_BENCH=1 go test -run '^$' \
 #                         -bench BenchmarkNational -benchtime 1x .
 #
-# Usage: scripts/bench.sh [-multicore] [-national] [output-file]
+# Usage: scripts/bench.sh [-national] [output-file]
 #
 # Default (no mode flag): micro + serving + paper-scale suites; copy the
-# ns/op numbers into the JSON files by hand afterwards. The CI gate
-# (scripts/benchgate) compares future runs against the committed "gate"
-# sections.
-#
-# -multicore: runs the scan-kernel and release-path benchmarks across
-# GOMAXPROCS 1,2,4,8 and rewrites BENCH_multicore.json via
-# `scripts/benchgate -emit-multicore` (scaling curves, per-core-count
-# gates, and the recording host's core-count caveat). Sweep columns
-# above the host's NumCPU measure oversubscription, not scaling — the
-# emitted environment block says so.
+# numbers into BENCH.json's trajectory by hand afterwards. The CI gate
+# (scripts/benchgate) reads only BENCH.json's gate section, which its
+# own command regenerates (see BENCH.json's description).
 #
 # -national: runs the chunk-streamed national-scale suite (~7M
 # establishments, ~130M jobs; one op is a full pass over the relation,
@@ -36,39 +26,22 @@
 # establishments, ~10M jobs) once per process — expect tens of seconds
 # of setup before the first LargeScale benchmark reports.
 #
-# Recording-host caveat: the *Concurrent benchmarks (b.RunParallel), the
-# sequential-vs-parallel release pair, and every multicore sweep column
-# are meaningful only relative to the recording host's core count.
-# BENCH_release_path.json's environment block states the host's
-# GOMAXPROCS and BENCH_multicore.json's states NumCPU; when re-recording
-# on a host with a different core count, update those blocks rather than
-# mixing numbers across hosts.
+# Recording-host caveat: the *Concurrent benchmarks (b.RunParallel) and
+# the sequential-vs-parallel release pair are meaningful only relative
+# to the recording host's core count. Each trajectory entry's
+# environment block states its host; when re-recording on another host,
+# record a new entry rather than mixing numbers across hosts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-multicore=0
 national=0
 while [[ $# -gt 0 && $1 == -* ]]; do
   case "$1" in
-    -multicore) multicore=1 ;;
     -national) national=1 ;;
-    *) echo "usage: scripts/bench.sh [-multicore] [-national] [output-file]" >&2; exit 2 ;;
+    *) echo "usage: scripts/bench.sh [-national] [output-file]" >&2; exit 2 ;;
   esac
   shift
 done
-
-if [[ $multicore -eq 1 ]]; then
-  out="${1:-bench_multicore.txt}"
-  echo "== multicore sweep (-benchtime 2s -cpu 1,2,4,8) ==" | tee "$out"
-  go test -run '^$' \
-    -bench 'BenchmarkMarginalComputeUnpacked$|BenchmarkReleaseBatch$|BenchmarkPublisherMarginalConcurrent$|BenchmarkReleaseCellsParallel$' \
-    -benchtime 2s -cpu 1,2,4,8 -timeout 60m . | tee -a "$out"
-  go run ./scripts/benchgate -emit-multicore BENCH_multicore.json -output "$out"
-  echo
-  echo "Wrote $out and BENCH_multicore.json (sweep, scaling curves, per-cpu gates,"
-  echo "host caveat). Commit BENCH_multicore.json as the scaling record."
-  exit 0
-fi
 
 if [[ $national -eq 1 ]]; then
   out="${1:-bench_national.txt}"
@@ -93,11 +66,8 @@ echo "== paper-scale suite (EREE_LARGE_BENCH=1, -benchtime 20x) ==" | tee -a "$o
 EREE_LARGE_BENCH=1 go test -run '^$' -bench BenchmarkLargeScale -benchtime 20x -timeout 60m . | tee -a "$out"
 
 echo
-echo "Wrote $out. Update BENCH_baseline.json / BENCH_scan_kernel.json /"
-echo "BENCH_release_path.json / BENCH_incremental.json / BENCH_serve.json from"
-echo "it. (The advance benchmarks replay a fixed 8-quarter delta chain per op —"
-echo "see BENCH_incremental.json's chain_note before comparing per-quarter"
-echo "numbers. BENCH_serve.json's end-to-end load numbers come from"
-echo "scripts/serve_smoke.sh -record, not from this script. The multicore sweep"
-echo "and national suite are separate modes: scripts/bench.sh -multicore /"
-echo "-national.)"
+echo "Wrote $out. Record it in BENCH.json's trajectory. (The advance benchmarks"
+echo "replay a fixed 8-quarter delta chain per op — see the incremental entry's"
+echo "chain_note before comparing per-quarter numbers. The serving entry's"
+echo "end-to-end load numbers come from scripts/serve_smoke.sh -record, not from"
+echo "this script. The national suite is a separate mode: scripts/bench.sh -national.)"

@@ -1,39 +1,26 @@
-// Command benchgate compares `go test -bench` output against the
-// committed reference numbers in one or more BENCH JSON files and fails
-// when a gated benchmark regresses beyond the tolerance factor.
+// Command benchgate checks `go test -bench -benchmem` output against the
+// gate section of BENCH.json and fails when a gated benchmark regresses.
 //
-// Usage:
+// Usage, from the repository root:
 //
-//	go test -run '^$' -bench 'MarginalComputeUnpacked$|ReleaseCellsSequential$' . > bench.txt
-//	go run ./scripts/benchgate -baseline BENCH_scan_kernel.json,BENCH_release_path.json -output bench.txt
+//	go test -run '^$' -bench '<gated names>' -benchtime 1s -count 3 -cpu 2 -benchmem . ./cmd/ereeserve/server/ > bench.txt
+//	go run ./scripts/benchgate -output bench.txt
 //
-//	go test -run '^$' -bench 'MarginalComputeUnpacked$' -cpu 1,2,4,8 . > sweep.txt
-//	go run ./scripts/benchgate -emit-multicore BENCH_multicore.json -output sweep.txt
+// The gate checks only what the host cannot move:
 //
-// Each baseline file's "gate" object maps benchmark names to reference
-// ns/op, compared regardless of the run's GOMAXPROCS (shared-runner
-// gates tolerate core-count drift; the 1.5× default factor absorbs it).
-// A "gate_by_cpu" object maps GOMAXPROCS values to per-benchmark
-// references and is compared exactly per core count: a measured sample
-// of a gate_by_cpu benchmark at a core count with no recorded column
-// fails loudly — the fix is to re-record the sweep on the gating host
-// (scripts/bench.sh -multicore), never to compare across core counts
-// silently. -baseline takes a comma-separated list and the gates are
-// merged (a benchmark gated in two files must satisfy the stricter
-// reference).
+//   - allocs/op. Every sample of a gated benchmark must stay within
+//     allocSlack of its recorded count. Allocation counts depend on the
+//     code and on GOMAXPROCS, not on the machine's speed, so the gate is
+//     pinned to one GOMAXPROCS (the gate's "gomaxprocs", passed to go
+//     test as -cpu) and a sample at any other value fails.
+//   - time as a ratio of two benchmarks run by the same test binary, a
+//     fast path over its counterfactual or calibrator. The fastest
+//     sample of each side is used, and the ratio must not exceed its
+//     recorded bound. A faster or slower host moves both sides.
 //
-// -emit-multicore switches the command from gating to recording: it
-// parses a -cpu sweep's output and writes the multi-core scaling record
-// (sweep ns/op per core count, speedup curves vs the 1-core column, a
-// gate_by_cpu section for future runs, and an environment block stating
-// the recording host's core count — scaling curves are only meaningful
-// relative to it).
-//
-// The gate is deliberately tolerant (default 1.5×): shared CI runners
-// are noisy, and the point is to catch order-of-magnitude regressions
-// (a reintroduced per-cell allocation, a lost fast path), not
-// single-digit drift. CI skips the gate when the commit message
-// contains [skip-bench-gate].
+// BENCH.json's trajectory section is measurement history; this command
+// never reads it. CI skips the gate when the commit message (or pull
+// request title) contains [skip-bench-gate].
 package main
 
 import (
@@ -42,19 +29,32 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-type baseline struct {
-	Gate      map[string]float64            `json:"gate"`
-	GateByCPU map[string]map[string]float64 `json:"gate_by_cpu"`
+// recordPath is the repository's benchmark record, relative to the
+// repository root.
+const recordPath = "BENCH.json"
+
+// gate is BENCH.json's gate section.
+type gate struct {
+	GOMAXPROCS  int            `json:"gomaxprocs"`
+	AllocsPerOp map[string]int `json:"allocs_per_op"`
+	TimeRatios  []timeRatio    `json:"time_ratios"`
 }
 
-// benchKey identifies one benchmark sample: the name with the
+// timeRatio bounds ns/op of Bench over ns/op of Over.
+type timeRatio struct {
+	Bench string  `json:"bench"`
+	Over  string  `json:"over"`
+	Max   float64 `json:"max"`
+}
+
+// benchKey identifies one benchmark's samples: the name with the
 // GOMAXPROCS suffix split off (testing appends "-N" when N != 1, so a
 // bare name means a 1-proc run).
 type benchKey struct {
@@ -62,12 +62,30 @@ type benchKey struct {
 	cpu  int
 }
 
+// sample summarizes one key's lines: the fastest ns/op and the largest
+// allocs/op (-1 when no line reported allocs, i.e. no -benchmem).
+type sample struct {
+	nsOp   float64
+	allocs int
+}
+
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_scan_kernel.json", "comma-separated BENCH JSON files, each with a gate and/or gate_by_cpu section")
-	outputPath := flag.String("output", "-", "go test -bench output to check ('-' for stdin)")
-	factor := flag.Float64("factor", 1.5, "maximum allowed ns/op ratio vs the reference")
-	emitMulticore := flag.String("emit-multicore", "", "write a multi-core scaling record (BENCH_multicore.json) from a -cpu sweep's output instead of gating")
+	outputPath := flag.String("output", "-", "go test -bench -benchmem output to check ('-' for stdin)")
 	flag.Parse()
+
+	raw, err := os.ReadFile(recordPath)
+	if err != nil {
+		fatal("read record: %v", err)
+	}
+	var rec struct {
+		Gate gate `json:"gate"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		fatal("parse %s: %v", recordPath, err)
+	}
+	if rec.Gate.GOMAXPROCS < 1 || len(rec.Gate.AllocsPerOp) == 0 {
+		fatal("%s: gate section needs gomaxprocs and allocs_per_op", recordPath)
+	}
 
 	var in io.Reader = os.Stdin
 	if *outputPath != "-" {
@@ -83,138 +101,113 @@ func main() {
 		fatal("parse bench output: %v", err)
 	}
 
-	if *emitMulticore != "" {
-		if err := writeMulticore(*emitMulticore, measured); err != nil {
-			fatal("emit multicore record: %v", err)
-		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", *emitMulticore, len(benchNames(measured)))
-		return
+	lines, ok := rec.Gate.check(measured)
+	for _, l := range lines {
+		fmt.Println(l)
 	}
-
-	gate := make(map[string]float64)
-	gateByCPU := make(map[string]map[string]float64)
-	for _, path := range strings.Split(*baselinePath, ",") {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fatal("read baseline: %v", err)
-		}
-		var b baseline
-		if err := json.Unmarshal(raw, &b); err != nil {
-			fatal("parse %s: %v", path, err)
-		}
-		if len(b.Gate) == 0 && len(b.GateByCPU) == 0 {
-			fatal("%s has no gate or gate_by_cpu section", path)
-		}
-		for name, ref := range b.Gate {
-			if prev, ok := gate[name]; !ok || ref < prev {
-				gate[name] = ref
-			}
-		}
-		for cpu, gates := range b.GateByCPU {
-			if _, err := strconv.Atoi(cpu); err != nil {
-				fatal("%s: gate_by_cpu key %q is not a core count", path, cpu)
-			}
-			merged := gateByCPU[cpu]
-			if merged == nil {
-				merged = make(map[string]float64)
-				gateByCPU[cpu] = merged
-			}
-			for name, ref := range gates {
-				if prev, ok := merged[name]; !ok || ref < prev {
-					merged[name] = ref
-				}
-			}
-		}
-	}
-
-	failed := false
-	check := func(name string, got, ref float64, label string) {
-		ratio := got / ref
-		status := "ok"
-		if ratio > *factor {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%-4s %s%s: %.0f ns/op vs reference %.0f (%.2fx, limit %.2fx)\n",
-			status, name, label, got, ref, ratio, *factor)
-	}
-
-	// Core-count-agnostic gates: the fastest sample of the name at any
-	// GOMAXPROCS must satisfy the reference (pre-existing behavior).
-	for _, name := range sortedKeys(gate) {
-		got, ok := fastestAnyCPU(measured, name)
-		if !ok {
-			fmt.Printf("FAIL %s: not found in bench output (benchmark rotted or filter too narrow)\n", name)
-			failed = true
-			continue
-		}
-		check(name, got, gate[name], "")
-	}
-
-	// Per-core-count gates: every measured sample of a gated name must
-	// have a reference column for its exact GOMAXPROCS.
-	gatedNames := make(map[string]bool)
-	for _, gates := range gateByCPU {
-		for name := range gates {
-			gatedNames[name] = true
-		}
-	}
-	for _, name := range sortedKeys(gatedNames) {
-		found := false
-		for key, got := range measured {
-			if key.name != name {
-				continue
-			}
-			found = true
-			refs, ok := gateByCPU[strconv.Itoa(key.cpu)]
-			ref, okName := refs[name]
-			if !ok || !okName {
-				fmt.Printf("FAIL %s-%d: no baseline recorded for GOMAXPROCS=%d — re-record the sweep on the gating host (scripts/bench.sh -multicore), do not compare across core counts\n",
-					name, key.cpu, key.cpu)
-				failed = true
-				continue
-			}
-			check(name, got, ref, fmt.Sprintf("-%d", key.cpu))
-		}
-		if !found {
-			fmt.Printf("FAIL %s: not found in bench output (benchmark rotted or filter too narrow)\n", name)
-			failed = true
-		}
-	}
-
-	if failed {
-		fmt.Println("benchmark gate failed; if the regression is intended, rerun scripts/bench.sh,")
-		fmt.Println("update the gate numbers, or tag the commit message with [skip-bench-gate]")
+	if !ok {
+		fmt.Println("benchmark gate failed; if the change is intended, update the gate in BENCH.json")
+		fmt.Println("(and say why in CHANGES.md), or tag the commit message with [skip-bench-gate]")
 		os.Exit(1)
 	}
 }
 
-// parseBenchOutput extracts ns/op per (benchmark, GOMAXPROCS) from
-// testing's output (lines like "BenchmarkFoo-4   123   4567 ns/op ...").
-// The -N suffix is the run's GOMAXPROCS; its absence means 1. Multiple
-// samples of one key (-count > 1) keep the fastest, which is the
-// noise-robust choice for a regression gate.
-func parseBenchOutput(r io.Reader) (map[benchKey]float64, error) {
-	out := make(map[benchKey]float64)
+// allocSlack is how far allocs/op may exceed its record: 0.1%, rounded
+// up, so a zero-allocation benchmark must stay at zero. One allocation
+// per cell of a 2400-cell release is far outside it.
+func allocSlack(ref int) int { return int(math.Ceil(float64(ref) / 1000)) }
+
+// check runs every check of the gate against the measured samples and
+// returns one report line per check; ok is false when any failed.
+func (g gate) check(measured map[benchKey]sample) (lines []string, ok bool) {
+	ok = true
+	report := func(pass bool, format string, args ...any) {
+		status := "ok  "
+		if !pass {
+			status, ok = "FAIL", false
+		}
+		lines = append(lines, status+" "+fmt.Sprintf(format, args...))
+	}
+	// pinned returns the name's sample at the gate's GOMAXPROCS, or
+	// reports why there is none.
+	pinned := func(name string) (sample, bool) {
+		if s, found := measured[benchKey{name, g.GOMAXPROCS}]; found {
+			return s, true
+		}
+		var others []string
+		for key := range measured {
+			if key.name == name {
+				others = append(others, strconv.Itoa(key.cpu))
+			}
+		}
+		if len(others) > 0 {
+			sort.Strings(others)
+			report(false, "%s: ran at GOMAXPROCS %s, the gate is pinned at %d (go test -cpu %d)",
+				name, strings.Join(others, ","), g.GOMAXPROCS, g.GOMAXPROCS)
+		} else {
+			report(false, "%s: not found in bench output (benchmark rotted or filter too narrow)", name)
+		}
+		return sample{}, false
+	}
+
+	for _, name := range sortedKeys(g.AllocsPerOp) {
+		s, found := pinned(name)
+		if !found {
+			continue
+		}
+		ref := g.AllocsPerOp[name]
+		if s.allocs < 0 {
+			report(false, "%s: no allocs/op in bench output (run go test with -benchmem)", name)
+			continue
+		}
+		report(s.allocs <= ref+allocSlack(ref), "%s: %d allocs/op vs record %d (slack %d)",
+			name, s.allocs, ref, allocSlack(ref))
+	}
+	for _, r := range g.TimeRatios {
+		fast, okFast := pinned(r.Bench)
+		slow, okSlow := pinned(r.Over)
+		if !okFast || !okSlow {
+			continue
+		}
+		ratio := fast.nsOp / slow.nsOp
+		report(ratio <= r.Max, "%s / %s: %.0f / %.0f ns/op = %.3f (limit %.3g)",
+			r.Bench, r.Over, fast.nsOp, slow.nsOp, ratio, r.Max)
+	}
+	return lines, ok
+}
+
+// parseBenchOutput extracts ns/op and allocs/op per (benchmark,
+// GOMAXPROCS) from testing's output (lines like "BenchmarkFoo-4  123
+// 4567 ns/op  160 B/op  11 allocs/op"). The -N suffix is the run's
+// GOMAXPROCS; its absence means 1. Multiple samples of one key (-count
+// > 1) keep the fastest ns/op, the noise-robust choice for a ratio, and
+// the largest allocs/op, the strict choice for a count.
+func parseBenchOutput(r io.Reader) (map[benchKey]sample, error) {
+	out := make(map[benchKey]sample)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		var nsOp float64
-		found := false
+		cur := sample{nsOp: -1, allocs: -1}
 		for i := 2; i < len(fields); i++ {
-			if fields[i] == "ns/op" {
+			switch fields[i] {
+			case "ns/op":
 				v, err := strconv.ParseFloat(fields[i-1], 64)
 				if err != nil {
 					return nil, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
 				}
-				nsOp, found = v, true
-				break
+				cur.nsOp = v
+			case "allocs/op":
+				v, err := strconv.Atoi(fields[i-1])
+				if err != nil {
+					return nil, fmt.Errorf("bad allocs/op in %q: %v", sc.Text(), err)
+				}
+				cur.allocs = v
 			}
 		}
-		if !found {
+		if cur.nsOp < 0 {
 			continue
 		}
 		key := benchKey{name: fields[0], cpu: 1}
@@ -223,92 +216,13 @@ func parseBenchOutput(r io.Reader) (map[benchKey]float64, error) {
 				key.name, key.cpu = key.name[:i], n
 			}
 		}
-		if prev, ok := out[key]; !ok || nsOp < prev {
-			out[key] = nsOp
+		if prev, found := out[key]; found {
+			cur.nsOp = min(cur.nsOp, prev.nsOp)
+			cur.allocs = max(cur.allocs, prev.allocs)
 		}
+		out[key] = cur
 	}
 	return out, sc.Err()
-}
-
-// writeMulticore renders a -cpu sweep into the committed scaling
-// record: ns/op per core count, speedups vs the 1-proc column, a
-// gate_by_cpu section, and the recording host's environment.
-func writeMulticore(path string, measured map[benchKey]float64) error {
-	names := benchNames(measured)
-	if len(names) == 0 {
-		return fmt.Errorf("no benchmark samples in output")
-	}
-
-	sweep := make(map[string]map[string]float64)
-	speedup := make(map[string]map[string]float64)
-	gateByCPU := make(map[string]map[string]float64)
-	for key, ns := range measured {
-		cpu := strconv.Itoa(key.cpu)
-		if sweep[key.name] == nil {
-			sweep[key.name] = make(map[string]float64)
-		}
-		sweep[key.name][cpu] = ns
-		if gateByCPU[cpu] == nil {
-			gateByCPU[cpu] = make(map[string]float64)
-		}
-		gateByCPU[cpu][key.name] = ns
-	}
-	for name, byCPU := range sweep {
-		base, ok := byCPU["1"]
-		if !ok {
-			continue
-		}
-		speedup[name] = make(map[string]float64)
-		for cpu, ns := range byCPU {
-			speedup[name][cpu] = round2(base / ns)
-		}
-	}
-
-	record := struct {
-		Description string                        `json:"description"`
-		Environment map[string]any                `json:"environment"`
-		SweepNsOp   map[string]map[string]float64 `json:"sweep_ns_op"`
-		SpeedupVs1  map[string]map[string]float64 `json:"speedup_vs_1cpu"`
-		GateByCPU   map[string]map[string]float64 `json:"gate_by_cpu"`
-	}{
-		Description: "Multi-core scaling record: ns/op per GOMAXPROCS for the sharded scan and parallel release paths, recorded from one -cpu sweep (scripts/bench.sh -multicore owns the canonical flags; this file is written by scripts/benchgate -emit-multicore, never by hand). gate_by_cpu is what scripts/benchgate compares per-core-count runs against — a run at a core count with no recorded column fails the gate with instructions to re-record, so numbers are never compared across core counts.",
-		Environment: map[string]any{
-			"goos":    runtime.GOOS,
-			"goarch":  runtime.GOARCH,
-			"go":      runtime.Version(),
-			"num_cpu": runtime.NumCPU(),
-			"cpu":     cpuModel(),
-			"host_caveat": fmt.Sprintf(
-				"recorded on a host with NumCPU=%d: sweep columns at -cpu above that measure goroutine oversubscription of the same cores, not parallel scaling, and every per-cpu number is only comparable on a host with the same core count and cpu model",
-				runtime.NumCPU()),
-		},
-		SweepNsOp:  sweep,
-		SpeedupVs1: speedup,
-		GateByCPU:  gateByCPU,
-	}
-	raw, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-func benchNames(measured map[benchKey]float64) []string {
-	set := make(map[string]bool)
-	for key := range measured {
-		set[key.name] = true
-	}
-	return sortedKeys(set)
-}
-
-func fastestAnyCPU(measured map[benchKey]float64, name string) (float64, bool) {
-	best, found := 0.0, false
-	for key, ns := range measured {
-		if key.name == name && (!found || ns < best) {
-			best, found = ns, true
-		}
-	}
-	return best, found
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -320,24 +234,7 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }
-
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "benchgate: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func cpuModel() string {
-	raw, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return "unknown"
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			if _, v, ok := strings.Cut(name, ":"); ok {
-				return strings.TrimSpace(v)
-			}
-		}
-	}
-	return "unknown"
 }

@@ -13,9 +13,10 @@
 # Usage:
 #   scripts/serve_smoke.sh            # bounded smoke (300 requests)
 #   scripts/serve_smoke.sh -record    # canonical cold+warm recording
-#                                     # workload for BENCH_serve.json
+#                                     # workload for BENCH.json's
+#                                     # trajectory (its serve entry)
 #
-# The recording mode's numbers are host-dependent; BENCH_serve.json's
+# The recording mode's numbers are host-dependent; the serve entry's
 # environment block states the recording host. EREE_SMOKE_PORT
 # overrides the default port 18080 (the durability leg uses port+1).
 set -euo pipefail
@@ -68,7 +69,7 @@ if [[ "$record" == 1 ]]; then
   run_load 2000
   echo "== warm =="
   run_load 2000
-  echo "Copy the summaries into BENCH_serve.json (and keep its environment block honest)."
+  echo "Copy the summaries into BENCH.json's trajectory (and keep its environment block honest)."
   exit 0
 fi
 
