@@ -29,13 +29,11 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/privacy"
 	"repro/internal/wal"
 )
 
@@ -331,30 +329,4 @@ func (s *Server) promoteFollower() error {
 	s.role.Store(rolePrimary)
 	s.state.Store(stateReady)
 	return nil
-}
-
-// mirroredPosition reads the tenant's /v1/stats position from the
-// mirrored state, under its lock. A tenant the primary has not
-// journaled yet has spent nothing against its configured budget. The
-// follower evicts nothing from a replay ring of its own, so it reports
-// no evictions.
-func (s *Server) mirroredPosition(t *privacy.Tenant) tenantPosition {
-	p := s.persist
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ts, ok := p.state.Tenants[t.Name]
-	if !ok {
-		var pos tenantPosition
-		pos.remainingEps, pos.remainingDelta = t.Acct.Budget()
-		return pos
-	}
-	return tenantPosition{
-		spentEps:       ts.SpentEps,
-		spentDelta:     ts.SpentDelta,
-		remainingEps:   ts.BudgetEps - ts.SpentEps,
-		remainingDelta: ts.BudgetDelta - ts.SpentDelta,
-		releases:       ts.Releases,
-		ledger:         slices.Clone(ts.Ledger),
-		replaySize:     len(ts.Recent),
-	}
 }

@@ -233,31 +233,51 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, out)
 }
 
-// replayed serves a request whose charge is already durable (the
-// client retried after losing the response). The release is recomputed
-// with a nil accountant — wire determinism makes it byte-identical to
-// the lost one — so the tenant is not charged twice. It reports false,
-// deferring to the normal charged path, when the identity misses the
-// cache or the current epoch no longer matches the recorded one (then
-// the retry is semantically a fresh request and must pay).
-func (s *Server) replayed(tenant string, seq int64, digest string) bool {
-	if s.persist == nil {
-		return false
-	}
-	return s.replay.has(tenant, replayKey{Seq: seq, Digest: digest, Epoch: s.pub.Epoch()})
-}
+// releaseFunc runs one endpoint's release against acct (nil for a free
+// recompute), drawing its noise from stream and journaling tag with the
+// charge, and reports the dataset epoch the release pinned.
+type releaseFunc func(acct *privacy.Accountant, stream *dist.Stream, tag privacy.SpendTag) (epoch int, err error)
 
-// noteCharged records a charged request identity: it raises the
-// tenant's seq counter past seq (see nextSeq) and, on a durable server,
-// records the identity for replay detection. Called after the charge
-// succeeded, which means its spend record — tagged with exactly this
-// identity — is on disk.
-func (s *Server) noteCharged(tenant string, seq int64, digest string, epoch int) {
-	s.raiseSeq(tenant, seq)
-	if s.persist == nil {
-		return
+// charge is the one replay-or-charge step of every release endpoint.
+// It resolves the request's seq (the client's, else the tenant's next;
+// see nextSeq) and returns it. A durable server reads the publisher's
+// epoch once and looks the identity up in the replay cache at that
+// epoch. A hit means the client lost the response to a charge
+// journaled there, so the release is recomputed with no accountant —
+// wire determinism makes it byte-identical to the lost one — and served
+// free, but only if the recompute pinned that same epoch: a resend is
+// free only at the epoch its charge was journaled at. Anything else,
+// an advance landing between the lookup and the pin included, is
+// charged as a fresh request. A charge raises the tenant's seq counter
+// past seq and, on a durable server, records the identity for replay:
+// its spend record, tagged with exactly this identity, is on disk once
+// the charge returns.
+func (s *Server) charge(t *privacy.Tenant, explicit *int64, digest string, release releaseFunc) (int64, error) {
+	var seq int64
+	if explicit != nil {
+		seq = *explicit
+	} else {
+		seq = s.nextSeq(t.Name)
 	}
-	s.replay.add(tenant, replayKey{Seq: seq, Digest: digest, Epoch: epoch})
+	stream := s.requestStream(t.Name, seq, digest)
+	tag := privacy.SpendTag{Seq: seq, Digest: digest}
+	if s.persist != nil {
+		epoch := s.pub.Epoch()
+		if s.replay.has(t.Name, replayKey{Seq: seq, Digest: digest, Epoch: epoch}) {
+			if pinned, err := release(nil, stream, tag); err == nil && pinned == epoch {
+				return seq, nil
+			}
+		}
+	}
+	epoch, err := release(t.Acct, stream, tag)
+	if err != nil {
+		return seq, err
+	}
+	s.raiseSeq(t.Name, seq)
+	if s.persist != nil {
+		s.replay.add(t.Name, replayKey{Seq: seq, Digest: digest, Epoch: epoch})
+	}
+	return seq, nil
 }
 
 // handleRelease serves POST /v1/release: one marginal, charged to the
@@ -268,21 +288,19 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request, t *privac
 		writeError(w, err, t.Acct)
 		return
 	}
-	seq := s.resolveSeq(t.Name, explicit)
-	digest := requestDigest(digestRelease, []core.Request{req}, nil)
-	stream := s.requestStream(t.Name, seq, digest)
-	if s.replayed(t.Name, seq, digest) {
-		if rel, err := s.pub.ReleaseMarginal(nil, req, stream, nil); err == nil && rel.Epoch == s.pub.Epoch() {
-			writeRelease(w, releaseToJSON(rel, seq, req.Attrs))
-			return
-		}
-	}
-	rel, err := s.pub.ReleaseMarginal(t.Acct, req, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
+	var rel *core.Release
+	seq, err := s.charge(t, explicit, requestDigest(digestRelease, []core.Request{req}, nil),
+		func(a *privacy.Accountant, stream *dist.Stream, tag privacy.SpendTag) (int, error) {
+			var err error
+			if rel, err = s.pub.ReleaseMarginal(a, req, stream, &tag); err != nil {
+				return 0, err
+			}
+			return rel.Epoch, nil
+		})
 	if err != nil {
 		writeError(w, err, t.Acct)
 		return
 	}
-	s.noteCharged(t.Name, seq, digest, rel.Epoch)
 	writeRelease(w, releaseToJSON(rel, seq, req.Attrs))
 }
 
@@ -295,34 +313,26 @@ type batchJSON struct {
 // handleBatch serves POST /v1/batch: the whole batch is admitted or
 // rejected before any scan or noise is paid for, and the accountant is
 // charged atomically — a 429 batch spends nothing and reports the
-// tenant's remaining budget.
+// tenant's remaining budget. The decoder refuses an empty batch, so
+// the first release names the epoch the whole batch pinned.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, t *privacy.Tenant) {
 	reqs, explicit, err := decodeBatch(r.Body)
 	if err != nil {
 		writeError(w, err, t.Acct)
 		return
 	}
-	seq := s.resolveSeq(t.Name, explicit)
-	digest := requestDigest(digestBatch, reqs, nil)
-	stream := s.requestStream(t.Name, seq, digest)
-	if s.replayed(t.Name, seq, digest) {
-		if rels, err := s.pub.ReleaseBatch(nil, reqs, stream, nil); err == nil &&
-			len(rels) > 0 && rels[0].Epoch == s.pub.Epoch() {
-			out := batchJSON{Seq: seq, Releases: make([]releaseJSON, len(rels))}
-			for i, rel := range rels {
-				out.Releases[i] = releaseToJSON(rel, seq, reqs[i].Attrs)
+	var rels []*core.Release
+	seq, err := s.charge(t, explicit, requestDigest(digestBatch, reqs, nil),
+		func(a *privacy.Accountant, stream *dist.Stream, tag privacy.SpendTag) (int, error) {
+			var err error
+			if rels, err = s.pub.ReleaseBatch(a, reqs, stream, &tag); err != nil {
+				return 0, err
 			}
-			writeRelease(w, out)
-			return
-		}
-	}
-	rels, err := s.pub.ReleaseBatch(t.Acct, reqs, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
+			return rels[0].Epoch, nil
+		})
 	if err != nil {
 		writeError(w, err, t.Acct)
 		return
-	}
-	if len(rels) > 0 {
-		s.noteCharged(t.Name, seq, digest, rels[0].Epoch)
 	}
 	out := batchJSON{Seq: seq, Releases: make([]releaseJSON, len(rels))}
 	for i, rel := range rels {
@@ -349,24 +359,21 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request, t *privacy.T
 		writeError(w, err, t.Acct)
 		return
 	}
-	seq := s.resolveSeq(t.Name, explicit)
-	digest := requestDigest(digestCell, []core.Request{req}, values)
-	stream := s.requestStream(t.Name, seq, digest)
-	if s.replayed(t.Name, seq, digest) {
-		if noisy, _, loss, epoch, err := s.pub.ReleaseSingleCell(nil, req, values, stream, nil); err == nil && epoch == s.pub.Epoch() {
-			writeRelease(w, cellJSON{
-				Epoch: epoch, Seq: seq, Attrs: req.Attrs, Values: values,
-				Loss: lossToJSON(loss), Count: noisy,
-			})
-			return
-		}
-	}
-	noisy, _, loss, epoch, err := s.pub.ReleaseSingleCell(t.Acct, req, values, stream, &privacy.SpendTag{Seq: seq, Digest: digest})
+	var (
+		noisy float64
+		loss  privacy.Loss
+		epoch int
+	)
+	seq, err := s.charge(t, explicit, requestDigest(digestCell, []core.Request{req}, values),
+		func(a *privacy.Accountant, stream *dist.Stream, tag privacy.SpendTag) (int, error) {
+			var err error
+			noisy, _, loss, epoch, err = s.pub.ReleaseSingleCell(a, req, values, stream, &tag)
+			return epoch, err
+		})
 	if err != nil {
 		writeError(w, err, t.Acct)
 		return
 	}
-	s.noteCharged(t.Name, seq, digest, epoch)
 	writeRelease(w, cellJSON{
 		Epoch:  epoch,
 		Seq:    seq,
@@ -419,53 +426,48 @@ type cacheStatsJSON struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// tenantPosition is a tenant's accounting position as /v1/stats
-// reports it.
-type tenantPosition struct {
-	spentEps, spentDelta         float64
-	remainingEps, remainingDelta float64
-	releases                     int
-	ledger                       []privacy.EpochSpend
-	replaySize                   int
-	replayEvictions              int64
-}
-
-// handleStats serves GET /v1/stats. A primary reads the tenant's
-// position from its live accountant. A follower has no live
-// accountants — charges happen on the primary — so it reads the
-// mirrored state instead; either way the body is rendered the same.
+// handleStats serves GET /v1/stats from one read of the tenant's
+// ledger, so its totals and per-epoch entries always agree. A primary
+// copies the live accountant's ledger (the budget is fixed at
+// construction). A follower has no live accountants — charges happen
+// on the primary — so it reads budget, ledger and replay ring from the
+// mirrored state under that state's lock: a tenant the primary has not
+// journaled yet has spent nothing against its configured budget, and a
+// follower evicts nothing from a ring of its own.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *privacy.Tenant) {
-	var pos tenantPosition
+	budgetEps, budgetDelta := t.Acct.Budget()
+	var led privacy.Ledger
+	ring := replayCacheJSON{Capacity: replayWindow}
 	if s.role.Load() == roleFollower && s.repl != nil {
-		pos = s.mirroredPosition(t)
+		s.persist.mu.Lock()
+		if ts, ok := s.persist.state.Tenants[t.Name]; ok {
+			budgetEps, budgetDelta, led, ring.Size = ts.BudgetEps, ts.BudgetDelta, ts.Ledger.Clone(), len(ts.Recent)
+		}
+		s.persist.mu.Unlock()
 	} else {
-		spent := t.Acct.Spent()
-		pos.spentEps, pos.spentDelta = spent.Eps, spent.Delta
-		pos.remainingEps, pos.remainingDelta = t.Acct.Remaining()
-		pos.releases = t.Acct.Releases()
-		pos.ledger = t.Acct.SpendByEpoch()
-		pos.replaySize, pos.replayEvictions = s.replay.stats(t.Name)
+		led = t.Acct.Ledger()
+		ring.Size, ring.Evictions = s.replay.stats(t.Name)
 	}
 	def, alpha := t.Acct.Def()
 	out := statsJSON{
 		Tenant:         t.Name,
 		Definition:     config.DefinitionToken(def),
 		Alpha:          alpha,
-		SpentEps:       pos.spentEps,
-		SpentDelta:     pos.spentDelta,
-		RemainingEps:   pos.remainingEps,
-		RemainingDelta: pos.remainingDelta,
-		Releases:       pos.releases,
-		SpendByEpoch:   make([]epochSpendJSON, len(pos.ledger)),
+		SpentEps:       led.SpentEps,
+		SpentDelta:     led.SpentDelta,
+		RemainingEps:   budgetEps - led.SpentEps,
+		RemainingDelta: budgetDelta - led.SpentDelta,
+		Releases:       led.Releases,
+		SpendByEpoch:   make([]epochSpendJSON, len(led.Epochs)),
 		Epoch:          s.pub.Epoch(),
+		ReplayCache:    &ring,
 	}
-	for i, e := range pos.ledger {
+	for i, e := range led.Epochs {
 		out.SpendByEpoch[i] = epochSpendJSON{Epoch: e.Epoch, Eps: e.Eps, Delta: e.Delta, Releases: e.Releases}
 	}
 	for _, cs := range s.pub.CacheStatsByEpoch() {
 		out.Cache = append(out.Cache, cacheStatsJSON{Epoch: cs.Epoch, Hits: cs.Hits, Misses: cs.Misses, Patches: cs.Patches, Evictions: cs.Evictions})
 	}
-	out.ReplayCache = &replayCacheJSON{Capacity: replayWindow, Size: pos.replaySize, Evictions: pos.replayEvictions}
 	writeJSON(w, http.StatusOK, out)
 }
 

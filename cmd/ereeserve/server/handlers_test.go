@@ -3,8 +3,13 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/privacy"
 )
 
 // TestStatusMapping drives every rejection path through real HTTP and
@@ -117,6 +122,68 @@ func TestBudgetStatusAndStats(t *testing.T) {
 	}
 }
 
+// TestStatsConsistentUnderCharges: /v1/stats renders a tenant's
+// position from one read, so a body read while two goroutines charge
+// the tenant still adds up: remaining = budget − spent, and the
+// per-epoch releases sum to the release count.
+func TestStatsConsistentUnderCharges(t *testing.T) {
+	const budgetEps, budgetDelta = 1e9, 0.5
+	tenants := []tenantSpec{{name: "alpha", key: keyAlpha, eps: budgetEps, delta: budgetDelta}}
+	srv, hs := newTestServer(t, 1, Options{NoiseSeed: 7}, tenants)
+	acct := tenantOf(t, srv, "alpha").Acct
+	charge := privacy.Loss{Def: privacy.WeakEREE, Alpha: 0.1, Eps: 0.25, Delta: 1e-12}
+	if err := acct.Spend(charge); err != nil {
+		t.Fatal(err)
+	}
+	acct.AdvanceEpoch()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := acct.Spend(charge); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	bad := 0
+	for i := 0; i < 2000; i++ {
+		status, raw := do(t, hs, "GET", "/v1/stats", keyAlpha, "")
+		if status != http.StatusOK {
+			t.Fatalf("stats = %d: %s", status, raw)
+		}
+		var stats statsJSON
+		if err := json.Unmarshal(raw, &stats); err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, e := range stats.SpendByEpoch {
+			sum += e.Releases
+		}
+		if stats.RemainingEps != budgetEps-stats.SpentEps || stats.RemainingDelta != budgetDelta-stats.SpentDelta ||
+			sum != stats.Releases {
+			if bad++; bad <= 3 {
+				t.Errorf("inconsistent stats body: %s", raw)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of 2000 stats bodies were inconsistent", bad)
+	}
+}
+
 // TestLogLaplaceOverflowRefusedBeforeCharge: a Log-Laplace (α, ε) whose
 // largest draw could overflow float64 for some count is refused as a
 // bad request before admission, on every release endpoint. It answers
@@ -150,6 +217,44 @@ func TestLogLaplaceOverflowRefusedBeforeCharge(t *testing.T) {
 	for _, r := range requests("0.011") {
 		if status, body := do(t, hs, "POST", r.path, keyAlpha, r.body); status != http.StatusOK {
 			t.Errorf("%s %s = %d, want 200: %s", r.path, r.body, status, body)
+		}
+	}
+}
+
+// TestSmoothOverflowRefusedBeforeCharge: for a tenant configured with
+// an α under which a smooth mechanism's largest draw could overflow
+// float64, a smooth-gamma or smooth-laplace request is refused as a bad
+// request before admission, on every release endpoint. It answers 400
+// and charges nothing, where it used to charge the tenant and then fail
+// to encode an infinite cell with a 500.
+func TestSmoothOverflowRefusedBeforeCharge(t *testing.T) {
+	reg := privacy.NewRegistry()
+	acct, err := privacy.NewAccountant(privacy.WeakEREE, 1e307, 1e9, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Register("alpha", keyAlpha, acct); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(New(core.NewPublisher(testDataset(t, 1)), reg, Options{NoiseSeed: 7}).Handler())
+	defer hs.Close()
+	for _, m := range []string{
+		`"mechanism":"smooth-gamma","alpha":1e307,"eps":1e4`,
+		`"mechanism":"smooth-laplace","alpha":1e307,"eps":1e4,"delta":0.5`,
+	} {
+		for _, r := range []struct{ path, body string }{
+			{"/v1/release", `{"attrs":["place","industry","ownership"],` + m + `}`},
+			{"/v1/batch", `{"requests":[{"attrs":["industry"],` + m + `}]}`},
+			{"/v1/cell", `{"attrs":["industry"],` + m + `,"values":["44-Retail"]}`},
+		} {
+			spent, releases := acct.Spent(), acct.Releases()
+			if status, body := do(t, hs, "POST", r.path, keyAlpha, r.body); status != http.StatusBadRequest {
+				t.Errorf("%s %s = %d, want 400: %s", r.path, r.body, status, body)
+			}
+			if got := acct.Spent(); got != spent || acct.Releases() != releases {
+				t.Errorf("%s %s: spend moved from %+v (%d releases) to %+v (%d releases)",
+					r.path, r.body, spent, releases, got, acct.Releases())
+			}
 		}
 	}
 }

@@ -111,69 +111,61 @@ func (w *recWriter) str(s string) {
 
 var errTruncatedRecord = errors.New("truncated record")
 
+// recReader decodes what recWriter built. Like bufio.Scanner it keeps
+// its first error, a read past the end, and returns zero values after
+// it, so a decoder reads its fields in straight-line code and checks
+// once, at done.
 type recReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *recReader) u8() (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, errTruncatedRecord
+// take returns the next n bytes, or nil once a read has come up short.
+func (r *recReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
 	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *recReader) u32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, errTruncatedRecord
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *recReader) u64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, errTruncatedRecord
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *recReader) i64() (int64, error) { v, err := r.u64(); return int64(v), err }
-
-func (r *recReader) f64() (float64, error) { v, err := r.u64(); return math.Float64frombits(v), err }
-
-func (r *recReader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if uint32(len(r.b)-r.off) < n {
-		return "", errTruncatedRecord
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *recReader) bytes(n int) ([]byte, error) {
 	if len(r.b)-r.off < n {
-		return nil, errTruncatedRecord
+		r.err = errTruncatedRecord
+		return nil
 	}
 	b := r.b[r.off : r.off+n]
 	r.off += n
-	return b, nil
+	return b
 }
 
+func (r *recReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *recReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *recReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *recReader) i64() int64   { return int64(r.u64()) }
+func (r *recReader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *recReader) str() string  { return string(r.take(int(r.u32()))) }
+
+// done returns the first short read, else an error for unread bytes.
 func (r *recReader) done() error {
-	if r.off != len(r.b) {
+	if r.err == nil && r.off != len(r.b) {
 		return fmt.Errorf("record has %d trailing bytes", len(r.b)-r.off)
 	}
-	return nil
+	return r.err
 }
 
 // ---- journal ------------------------------------------------------
@@ -399,10 +391,7 @@ type tenantState struct {
 	Alpha       float64
 	BudgetEps   float64
 	BudgetDelta float64
-	SpentEps    float64
-	SpentDelta  float64
-	Releases    int
-	Ledger      []privacy.EpochSpend
+	Ledger      privacy.Ledger
 	NextSeq     int64
 	Recent      []replayKey // oldest first, ≤ replayWindow
 }
@@ -440,85 +429,39 @@ func digestOf(st *persistentState) [sha256.Size]byte {
 // recovery fails rather than guessing at spend totals.
 func (st *persistentState) applyRecord(payload []byte) error {
 	r := &recReader{b: payload}
-	kind, err := r.u8()
-	if err != nil {
-		return err
+	kind := r.u8()
+	if r.err != nil {
+		return r.err
 	}
 	switch kind {
 	case recRegister:
-		name, err := r.str()
-		if err != nil {
-			return err
-		}
-		def, err := r.u32()
-		if err != nil {
-			return err
-		}
-		alpha, err := r.f64()
-		if err != nil {
-			return err
-		}
-		beps, err := r.f64()
-		if err != nil {
-			return err
-		}
-		bdelta, err := r.f64()
-		if err != nil {
-			return err
-		}
+		name, def, alpha := r.str(), privacy.Definition(r.u32()), r.f64()
+		beps, bdelta := r.f64(), r.f64()
 		if err := r.done(); err != nil {
 			return err
 		}
 		if t, ok := st.Tenants[name]; ok {
 			// Re-registration (every boot journals the registry): budgets
 			// may have been reconfigured; identity must not change.
-			if t.Def != privacy.Definition(def) || t.Alpha != alpha {
+			if t.Def != def || t.Alpha != alpha {
 				return fmt.Errorf("tenant %q re-registered under a different definition", name)
 			}
 			t.BudgetEps, t.BudgetDelta = beps, bdelta
 			return nil
 		}
 		st.Tenants[name] = &tenantState{
-			Def: privacy.Definition(def), Alpha: alpha,
+			Def: def, Alpha: alpha,
 			BudgetEps: beps, BudgetDelta: bdelta,
-			Ledger: []privacy.EpochSpend{{Epoch: 0}},
+			Ledger: privacy.NewLedger(),
 		}
 		return nil
 
 	case recSpend:
-		name, err := r.str()
-		if err != nil {
-			return err
-		}
-		eps, err := r.f64()
-		if err != nil {
-			return err
-		}
-		delta, err := r.f64()
-		if err != nil {
-			return err
-		}
-		releases, err := r.u32()
-		if err != nil {
-			return err
-		}
-		tagged, err := r.u8()
-		if err != nil {
-			return err
-		}
+		name, eps, delta, releases := r.str(), r.f64(), r.f64(), r.u32()
+		tagged := r.u8()
 		var tag replayKey
 		if tagged == 1 {
-			if tag.Seq, err = r.i64(); err != nil {
-				return err
-			}
-			if tag.Digest, err = r.str(); err != nil {
-				return err
-			}
-			epoch, err := r.u64()
-			if err != nil {
-				return err
-			}
-			tag.Epoch = int(epoch)
+			tag.Seq, tag.Digest, tag.Epoch = r.i64(), r.str(), int(r.u64())
 		}
 		if err := r.done(); err != nil {
 			return err
@@ -527,16 +470,9 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		if !ok {
 			return fmt.Errorf("spend for unregistered tenant %q", name)
 		}
-		// Same additions, same order as the live accountant — the
-		// journal append happens under its mutex — so the recovered
-		// floats are bit-identical.
-		t.SpentEps += eps
-		t.SpentDelta += delta
-		t.Releases += int(releases)
-		cur := &t.Ledger[len(t.Ledger)-1]
-		cur.Eps += eps
-		cur.Delta += delta
-		cur.Releases += int(releases)
+		// The live accountant's own charge, in its order — the journal
+		// append happens under its mutex — so the floats are bit-identical.
+		t.Ledger.Charge(eps, delta, int(releases))
 		if tagged == 1 {
 			t.Recent = append(t.Recent, tag)
 			if len(t.Recent) > replayWindow {
@@ -549,14 +485,7 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		return nil
 
 	case recAdvanceTenant:
-		name, err := r.str()
-		if err != nil {
-			return err
-		}
-		epoch, err := r.u64()
-		if err != nil {
-			return err
-		}
+		name, epoch := r.str(), r.u64()
 		if err := r.done(); err != nil {
 			return err
 		}
@@ -564,22 +493,13 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		if !ok {
 			return fmt.Errorf("advance for unregistered tenant %q", name)
 		}
-		last := t.Ledger[len(t.Ledger)-1].Epoch
-		if int(epoch) != last+1 {
-			return fmt.Errorf("tenant %q ledger advance to epoch %d from %d", name, epoch, last)
+		if err := t.Ledger.Advance(int(epoch)); err != nil {
+			return fmt.Errorf("tenant %q %v", name, err)
 		}
-		t.Ledger = append(t.Ledger, privacy.EpochSpend{Epoch: int(epoch)})
 		return nil
 
 	case recAdvanceDataset:
-		quarter, err := r.u64()
-		if err != nil {
-			return err
-		}
-		seed, err := r.i64()
-		if err != nil {
-			return err
-		}
+		quarter, seed := r.u64(), r.i64()
 		if err := r.done(); err != nil {
 			return err
 		}
@@ -590,10 +510,7 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		return nil
 
 	case recTerm, recFence:
-		term, err := r.u64()
-		if err != nil {
-			return err
-		}
+		term := r.u64()
 		if err := r.done(); err != nil {
 			return err
 		}
@@ -605,10 +522,7 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		return nil
 
 	case recDigest:
-		sum, err := r.bytes(sha256.Size)
-		if err != nil {
-			return err
-		}
+		sum := r.take(sha256.Size)
 		if err := r.done(); err != nil {
 			return err
 		}
@@ -656,12 +570,12 @@ func encodeStateBody(w *recWriter, st *persistentState) {
 		w.f64(t.Alpha)
 		w.f64(t.BudgetEps)
 		w.f64(t.BudgetDelta)
-		w.f64(t.SpentEps)
-		w.f64(t.SpentDelta)
-		w.u64(uint64(t.Releases))
+		w.f64(t.Ledger.SpentEps)
+		w.f64(t.Ledger.SpentDelta)
+		w.u64(uint64(t.Ledger.Releases))
 		w.i64(t.NextSeq)
-		w.u32(uint32(len(t.Ledger)))
-		for _, e := range t.Ledger {
+		w.u32(uint32(len(t.Ledger.Epochs)))
+		for _, e := range t.Ledger.Epochs {
 			w.u64(uint64(e.Epoch))
 			w.f64(e.Eps)
 			w.f64(e.Delta)
@@ -678,118 +592,34 @@ func encodeStateBody(w *recWriter, st *persistentState) {
 
 func decodeSnapshot(payload []byte) (*persistentState, error) {
 	r := &recReader{b: payload}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if ver != 1 && ver != snapshotVersion {
+	ver := r.u8()
+	if r.err == nil && ver != 1 && ver != snapshotVersion {
 		return nil, fmt.Errorf("snapshot version %d not supported", ver)
 	}
 	st := newPersistentState()
 	if ver >= 2 {
-		if st.Term, err = r.u64(); err != nil {
-			return nil, err
-		}
-		fenced, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		st.Fenced = fenced == 1
+		st.Term, st.Fenced = r.u64(), r.u8() == 1
 	}
-	nq, err := r.u32()
-	if err != nil {
-		return nil, err
+	// Every count loop stops at the first short read, so a corrupt count
+	// costs no more iterations than the payload has bytes.
+	for i, n := uint32(0), r.u32(); i < n && r.err == nil; i++ {
+		st.QuarterSeeds = append(st.QuarterSeeds, r.i64())
 	}
-	for i := uint32(0); i < nq; i++ {
-		seed, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		st.QuarterSeeds = append(st.QuarterSeeds, seed)
-	}
-	nt, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nt; i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		t := &tenantState{}
-		var def uint32
-		if def, err = r.u32(); err != nil {
-			return nil, err
-		}
-		t.Def = privacy.Definition(def)
-		if t.Alpha, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if t.BudgetEps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if t.BudgetDelta, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if t.SpentEps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if t.SpentDelta, err = r.f64(); err != nil {
-			return nil, err
-		}
-		rel, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		t.Releases = int(rel)
-		if t.NextSeq, err = r.i64(); err != nil {
-			return nil, err
-		}
-		nl, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if nl == 0 {
+	for i, n := uint32(0), r.u32(); i < n && r.err == nil; i++ {
+		name := r.str()
+		t := &tenantState{Def: privacy.Definition(r.u32()), Alpha: r.f64(), BudgetEps: r.f64(), BudgetDelta: r.f64()}
+		t.Ledger.SpentEps, t.Ledger.SpentDelta, t.Ledger.Releases = r.f64(), r.f64(), int(r.u64())
+		t.NextSeq = r.i64()
+		nl := r.u32()
+		if r.err == nil && nl == 0 {
 			return nil, fmt.Errorf("tenant %q snapshot has an empty ledger", name)
 		}
-		for j := uint32(0); j < nl; j++ {
-			var e privacy.EpochSpend
-			ep, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			e.Epoch = int(ep)
-			if e.Eps, err = r.f64(); err != nil {
-				return nil, err
-			}
-			if e.Delta, err = r.f64(); err != nil {
-				return nil, err
-			}
-			rel, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			e.Releases = int(rel)
-			t.Ledger = append(t.Ledger, e)
+		for j := uint32(0); j < nl && r.err == nil; j++ {
+			e := privacy.EpochSpend{Epoch: int(r.u64()), Eps: r.f64(), Delta: r.f64(), Releases: int(r.u64())}
+			t.Ledger.Epochs = append(t.Ledger.Epochs, e)
 		}
-		nr, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nr; j++ {
-			var k replayKey
-			if k.Seq, err = r.i64(); err != nil {
-				return nil, err
-			}
-			if k.Digest, err = r.str(); err != nil {
-				return nil, err
-			}
-			ep, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			k.Epoch = int(ep)
-			t.Recent = append(t.Recent, k)
+		for j, nr := uint32(0), r.u32(); j < nr && r.err == nil; j++ {
+			t.Recent = append(t.Recent, replayKey{Seq: r.i64(), Digest: r.str(), Epoch: int(r.u64())})
 		}
 		st.Tenants[name] = t
 	}
@@ -892,10 +722,4 @@ func (c *replayCache) has(tenant string, k replayKey) bool {
 	}
 	_, hit := tr.seen[k]
 	return hit
-}
-
-func (c *replayCache) seed(tenant string, keys []replayKey) {
-	for _, k := range keys {
-		c.add(tenant, k)
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -179,6 +180,60 @@ func TestLiveDuplicateSeqServedOnce(t *testing.T) {
 	}
 	if acct.Spent() != spent {
 		t.Fatal("retry double-charged")
+	}
+}
+
+// TestReplayAcrossAdvanceCharged: a resend of a charged identity that
+// looks the identity up at epoch 0 while an advance to epoch 1 lands is
+// charged, on every release endpoint. The charge was journaled at epoch
+// 0, so serving the epoch-1 recompute free would be a release nobody
+// paid for. The test holds the replay cache's lock until the resend is
+// parked inside the lookup, then advances through the admin handler.
+func TestReplayAcrossAdvanceCharged(t *testing.T) {
+	for _, r := range []struct{ path, body string }{
+		{"/v1/release", `{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"seq":3}`},
+		{"/v1/batch", `{"requests":[{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5}],"seq":3}`},
+		{"/v1/cell", `{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"values":["44-Retail"],"seq":3}`},
+	} {
+		t.Run(strings.TrimPrefix(r.path, "/v1/"), func(t *testing.T) {
+			srv, hs := openDurable(t, t.TempDir(), 1, Options{NoiseSeed: 7, AdminKey: keyAdmin}, nil)
+			acct := tenantOf(t, srv, "alpha").Acct
+			if status, raw := do(t, hs, "POST", r.path, keyAlpha, r.body); status != http.StatusOK {
+				t.Fatalf("first send = %d: %s", status, raw)
+			}
+			if acct.Spent().Eps != 0.5 || acct.Releases() != 1 {
+				t.Fatalf("first send spent %g over %d releases, want 0.5 over 1", acct.Spent().Eps, acct.Releases())
+			}
+
+			srv.replay.mu.Lock()
+			type result struct {
+				status int
+				raw    []byte
+			}
+			resent := make(chan result, 1)
+			go func() {
+				status, raw := do(t, hs, "POST", r.path, keyAlpha, r.body)
+				resent <- result{status, raw}
+			}()
+			waitFor(t, "the resend to block in the replay lookup", func() bool {
+				buf := make([]byte, 1<<20)
+				return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*replayCache).has"))
+			})
+			status, raw := do(t, hs, "POST", "/v1/admin/advance", keyAdmin, `{"quarters":1}`)
+			srv.replay.mu.Unlock()
+			if status != http.StatusOK {
+				t.Fatalf("advance = %d: %s", status, raw)
+			}
+
+			res := <-resent
+			if res.status != http.StatusOK || !bytes.Contains(res.raw, []byte(`"epoch":1`)) {
+				t.Fatalf("resend = %d, want 200 at epoch 1: %s", res.status, res.raw)
+			}
+			if acct.Spent().Eps != 1 || acct.Releases() != 2 {
+				t.Fatalf("resend across the advance spent %g over %d releases, want 1 over 2",
+					acct.Spent().Eps, acct.Releases())
+			}
+		})
 	}
 }
 

@@ -290,13 +290,15 @@ func (s *Server) adopt(pers *Persistence) error {
 			return fmt.Errorf("server: tenant %q recovered under %v(alpha=%g) but configured as %v(alpha=%g): spend history cannot change privacy definition",
 				t.Name, ts.Def, ts.Alpha, def, alpha)
 		}
-		if err := t.Acct.Restore(ts.SpentEps, ts.SpentDelta, ts.Releases, ts.Ledger); err != nil {
+		if err := t.Acct.Restore(ts.Ledger); err != nil {
 			return fmt.Errorf("server: tenant %q: %w", t.Name, err)
 		}
 		ctr := new(atomic.Int64)
 		ctr.Store(ts.NextSeq)
 		s.seqs.Store(t.Name, ctr)
-		s.replay.seed(t.Name, ts.Recent)
+		for _, k := range ts.Recent {
+			s.replay.add(t.Name, k)
+		}
 	}
 
 	// From here every charge is write-ahead: registration records for
@@ -497,13 +499,4 @@ func (s *Server) raiseSeq(name string, seq int64) {
 			return
 		}
 	}
-}
-
-// resolveSeq picks the request's sequence number: the client's explicit
-// one if present (validated by the decoder), else the tenant's counter.
-func (s *Server) resolveSeq(name string, explicit *int64) int64 {
-	if explicit != nil {
-		return *explicit
-	}
-	return s.nextSeq(name)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/smooth"
 )
 
 func sampleMean(t *testing.T, m CellMechanism, in CellInput, n int, seed int64) (mean, meanAbs float64) {
@@ -452,6 +453,61 @@ func TestLaplaceScaleBound(t *testing.T) {
 	for _, p := range []float64{0x1p-53, 1 - 0x1p-53} {
 		if v := float64(math.MaxInt64) + l.Quantile(p); math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Errorf("count 2^63 + draw at p=%v = %v, want finite", p, v)
+		}
+	}
+}
+
+// TestSmoothScaleBound: the smooth mechanisms refuse an (α, ε[, δ])
+// under which max(x_v·α, 1)/a times the largest unit draw could reach
+// half the largest float64; a release over x_v 5–44 used to come out
+// non-finite at α = 10³⁰⁷, ε = 10⁴. At the largest accepted α, a count
+// just below 2⁶³ whose x_v is as large, plus the most extreme draw,
+// is still finite, and the largest draw is the sampler's extreme.
+func TestSmoothScaleBound(t *testing.T) {
+	if _, err := NewSmoothGamma(1e307, 1e4); err == nil {
+		t.Error("smooth-gamma at alpha=1e307, eps=1e4 accepted")
+	}
+	if _, err := NewSmoothLaplace(1e307, 1e4, 0.5); err == nil {
+		t.Error("smooth-laplace at alpha=1e307, eps=1e4, delta=0.5 accepted")
+	}
+	if got := -dist.NewLaplace(1).Quantile(0x1p-53); got != maxUnitLaplace {
+		t.Errorf("largest unit Laplace draw %v, bound uses %v", got, maxUnitLaplace)
+	}
+	if got := -(dist.GenCauchy{}).Quantile(0x1p-53); got != maxGenCauchyDraw {
+		t.Errorf("largest generalized-Cauchy draw %v, bound uses %v", got, maxGenCauchyDraw)
+	}
+	for _, c := range []struct {
+		name  string
+		split func(alpha float64) (smooth.Split, error)
+		zmax  float64
+	}{
+		{"smooth-gamma", func(alpha float64) (smooth.Split, error) {
+			m, err := NewSmoothGamma(alpha, 1e4)
+			return m.split, err
+		}, maxGenCauchyDraw},
+		{"smooth-laplace", func(alpha float64) (smooth.Split, error) {
+			m, err := NewSmoothLaplace(alpha, 1e4, 0.5)
+			return m.split, err
+		}, maxUnitLaplace},
+	} {
+		lo, hi := 1.0, 1e307 // lo is accepted, hi refused
+		for i := 0; i < 100; i++ {
+			mid := math.Sqrt(lo * hi)
+			if _, err := c.split(mid); err == nil {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		split, err := c.split(lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noise := float64(math.MaxInt64) * lo * (1 / split.A) * c.zmax
+		for _, v := range []float64{float64(math.MaxInt64) + noise, float64(math.MaxInt64) - noise} {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Errorf("%s at alpha=%g: extreme release %v, want finite", c.name, lo, v)
+			}
 		}
 	}
 }

@@ -2,10 +2,35 @@ package mech
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/smooth"
 )
+
+// The largest unit draws, in magnitude, of the two smooth noise
+// distributions: the samplers' uniform lies in [2⁻⁵³, 1 − 2⁻⁵³] (see
+// maxLaplaceScale), so the generalized Cauchy stays within its quantile
+// at 1 − 2⁻⁵³ (about 1.1·10⁵) and the unit Laplace within ln(2⁵²).
+var (
+	maxGenCauchyDraw = dist.GenCauchy{}.Quantile(1 - 0x1p-53)
+	maxUnitLaplace   = 52 * math.Ln2
+)
+
+// checkSmoothScale refuses parameters under which a smooth mechanism
+// could release a non-finite value. A cell's noise is
+// max(x_v·α, 1)/a times a unit draw of magnitude at most zmax, so with
+// x_v below 2⁶³ the bound max(2⁶³·α, 1)/a·zmax must stay under half
+// the largest float64 — the headroom maxLaplaceScale keeps — and any
+// count plus its noise is then finite. Like maxLaplaceScale it depends
+// on the parameters alone, never on the data.
+func checkSmoothScale(name string, alpha float64, split smooth.Split, zmax float64) error {
+	if top := math.Max(0x1p63*alpha, 1) * (1 / split.A) * zmax; !(top < math.MaxFloat64/2) {
+		return fmt.Errorf("mech: %s noise scale max(x_v*alpha, 1)/a reaches %g at alpha=%v, a=%v, where a draw could overflow float64",
+			name, top/zmax, alpha, split.A)
+	}
+	return nil
+}
 
 // SmoothGamma is Algorithm 2 of the paper: the generic smooth-sensitivity
 // mechanism of Theorem 8.4 instantiated with the generalized-Cauchy noise
@@ -25,10 +50,14 @@ type SmoothGamma struct {
 	noise smooth.GenCauchyNoise
 }
 
-// NewSmoothGamma validates α+1 < e^{ε/5} and returns the mechanism.
+// NewSmoothGamma validates α+1 < e^{ε/5} and the noise scale (see
+// checkSmoothScale) and returns the mechanism.
 func NewSmoothGamma(alpha, eps float64) (SmoothGamma, error) {
 	split, err := smooth.GammaSplit(eps, alpha)
 	if err != nil {
+		return SmoothGamma{}, err
+	}
+	if err := checkSmoothScale("SmoothGamma", alpha, split, maxGenCauchyDraw); err != nil {
 		return SmoothGamma{}, err
 	}
 	return SmoothGamma{Alpha: alpha, Eps: eps, split: split}, nil
@@ -108,10 +137,14 @@ type SmoothLaplace struct {
 	noise smooth.LaplaceNoise
 }
 
-// NewSmoothLaplace validates the parameters and returns the mechanism.
+// NewSmoothLaplace validates the parameters, the noise scale included
+// (see checkSmoothScale), and returns the mechanism.
 func NewSmoothLaplace(alpha, eps, delta float64) (SmoothLaplace, error) {
 	split, err := smooth.LaplaceSplit(eps, delta, alpha)
 	if err != nil {
+		return SmoothLaplace{}, err
+	}
+	if err := checkSmoothScale("SmoothLaplace", alpha, split, maxUnitLaplace); err != nil {
 		return SmoothLaplace{}, err
 	}
 	return SmoothLaplace{

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -123,6 +124,52 @@ type EpochSpend struct {
 	Releases int
 }
 
+// Ledger is a tenant's spend history: the spent (ε, δ), the release
+// count, and one entry per epoch, oldest first, the last being the open
+// epoch charges land in. Charge and Advance are its only mutations, so
+// the live accountant and a replay of its journal, which both go
+// through them, perform the same float additions in the same order and
+// agree bit for bit.
+type Ledger struct {
+	SpentEps   float64
+	SpentDelta float64
+	Releases   int
+	Epochs     []EpochSpend
+}
+
+// NewLedger returns an empty ledger open at epoch 0.
+func NewLedger() Ledger { return Ledger{Epochs: []EpochSpend{{Epoch: 0}}} }
+
+// Charge adds a charge of (eps, delta) over n releases to the totals
+// and to the open epoch.
+func (l *Ledger) Charge(eps, delta float64, n int) {
+	l.SpentEps += eps
+	l.SpentDelta += delta
+	l.Releases += n
+	cur := &l.Epochs[len(l.Epochs)-1]
+	cur.Eps += eps
+	cur.Delta += delta
+	cur.Releases += n
+}
+
+// Advance opens epoch next, which must follow the open epoch.
+func (l *Ledger) Advance(next int) error {
+	if cur := l.Epoch(); next != cur+1 {
+		return fmt.Errorf("ledger advance to epoch %d from %d", next, cur)
+	}
+	l.Epochs = append(l.Epochs, EpochSpend{Epoch: next})
+	return nil
+}
+
+// Epoch returns the open epoch.
+func (l *Ledger) Epoch() int { return l.Epochs[len(l.Epochs)-1].Epoch }
+
+// Clone returns a copy that shares no memory with l.
+func (l Ledger) Clone() Ledger {
+	l.Epochs = slices.Clone(l.Epochs)
+	return l
+}
+
 // Accountant tracks cumulative privacy loss across releases under
 // sequential composition, enforcing a total budget. The α and definition
 // are fixed at construction: mixing them has no composition semantics.
@@ -142,13 +189,8 @@ type Accountant struct {
 	budgetEps   float64
 	budgetDelta float64
 
-	mu          sync.Mutex
-	spentEps    float64
-	spentDelta  float64
-	numReleases int
-	// ledger holds one entry per epoch since construction; the last
-	// entry is the open epoch charges currently land in.
-	ledger []EpochSpend
+	mu     sync.Mutex
+	ledger Ledger
 	// journal, when attached, makes every charge durable before it is
 	// applied (see SpendAllTagged); tenant names this accountant in
 	// the journaled records.
@@ -165,7 +207,7 @@ func NewAccountant(def Definition, alpha, budgetEps, budgetDelta float64) (*Acco
 	}
 	return &Accountant{
 		def: def, alpha: alpha, budgetEps: budgetEps, budgetDelta: budgetDelta,
-		ledger: []EpochSpend{{Epoch: 0}},
+		ledger: NewLedger(),
 	}, nil
 }
 
@@ -219,34 +261,40 @@ func (a *Accountant) AdvanceEpoch() int {
 func (a *Accountant) Epoch() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.ledger[len(a.ledger)-1].Epoch
+	return a.ledger.Epoch()
+}
+
+// Ledger returns a copy of the accountant's ledger, read in one piece:
+// its totals and its per-epoch entries always agree.
+func (a *Accountant) Ledger() Ledger {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.ledger.Clone()
 }
 
 // SpendByEpoch returns the per-epoch ledger, oldest first. The sum of
 // the entries' (ε, δ) is exactly Spent's sequential composition.
 func (a *Accountant) SpendByEpoch() []EpochSpend {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]EpochSpend(nil), a.ledger...)
+	return a.Ledger().Epochs
 }
 
 // Spent returns the cumulative loss so far.
 func (a *Accountant) Spent() Loss {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return Loss{Def: a.def, Alpha: a.alpha, Eps: a.spentEps, Delta: a.spentDelta}
+	return Loss{Def: a.def, Alpha: a.alpha, Eps: a.ledger.SpentEps, Delta: a.ledger.SpentDelta}
 }
 
 // Remaining returns the unspent (ε, δ) budget.
 func (a *Accountant) Remaining() (eps, delta float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.budgetEps - a.spentEps, a.budgetDelta - a.spentDelta
+	return a.budgetEps - a.ledger.SpentEps, a.budgetDelta - a.ledger.SpentDelta
 }
 
 // Releases returns how many releases have been charged.
 func (a *Accountant) Releases() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.numReleases
+	return a.ledger.Releases
 }

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -108,5 +109,27 @@ func TestAccountantEpochLedgerConcurrent(t *testing.T) {
 	}
 	if got := a.Spent().Eps; got != 400 {
 		t.Errorf("Spent().Eps = %g, want 400", got)
+	}
+}
+
+// TestLedgerChargeAndAdvance: a charge lands in the totals and the open
+// epoch, and an advance must name the epoch after the open one; any
+// other epoch leaves the ledger as it was.
+func TestLedgerChargeAndAdvance(t *testing.T) {
+	l := NewLedger()
+	l.Charge(0.5, 1e-9, 2)
+	for _, e := range []int{-1, 0, 2} {
+		if err := l.Advance(e); err == nil {
+			t.Fatalf("advance to epoch %d from 0 accepted", e)
+		}
+	}
+	if err := l.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	l.Charge(0.25, 0, 1)
+	want := Ledger{SpentEps: 0.75, SpentDelta: 1e-9, Releases: 3,
+		Epochs: []EpochSpend{{Epoch: 0, Eps: 0.5, Delta: 1e-9, Releases: 2}, {Epoch: 1, Eps: 0.25, Releases: 1}}}
+	if !slices.Equal(l.Epochs, want.Epochs) || l.SpentEps != want.SpentEps || l.SpentDelta != want.SpentDelta || l.Releases != want.Releases {
+		t.Fatalf("ledger %+v, want %+v", l, want)
 	}
 }

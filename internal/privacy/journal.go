@@ -103,13 +103,7 @@ func (a *Accountant) SpendAllTagged(losses []Loss, tag *SpendTag) error {
 			return fmt.Errorf("%w: %v", ErrPersistence, err)
 		}
 	}
-	a.spentEps += sumEps
-	a.spentDelta += sumDelta
-	a.numReleases += len(losses)
-	cur := &a.ledger[len(a.ledger)-1]
-	cur.Eps += sumEps
-	cur.Delta += sumDelta
-	cur.Releases += len(losses)
+	a.ledger.Charge(sumEps, sumDelta, len(losses))
 	return nil
 }
 
@@ -162,13 +156,13 @@ func (a *Accountant) total(losses []Loss) (sumEps, sumDelta float64, err error) 
 // its budget beyond the float tolerance. Every admission check and every
 // charge goes through it. The caller holds a.mu.
 func (a *Accountant) admitLocked(eps, delta float64) error {
-	if a.spentEps+eps > a.budgetEps+1e-12 {
+	if a.ledger.SpentEps+eps > a.budgetEps+1e-12 {
 		return fmt.Errorf("%w: eps spent %g + %g > %g",
-			ErrBudgetExhausted, a.spentEps, eps, a.budgetEps)
+			ErrBudgetExhausted, a.ledger.SpentEps, eps, a.budgetEps)
 	}
-	if a.spentDelta+delta > a.budgetDelta+1e-15 {
+	if a.ledger.SpentDelta+delta > a.budgetDelta+1e-15 {
 		return fmt.Errorf("%w: delta spent %g + %g > %g",
-			ErrBudgetExhausted, a.spentDelta, delta, a.budgetDelta)
+			ErrBudgetExhausted, a.ledger.SpentDelta, delta, a.budgetDelta)
 	}
 	return nil
 }
@@ -181,15 +175,13 @@ func (a *Accountant) admitLocked(eps, delta float64) error {
 func (a *Accountant) AdvanceEpochLogged() (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	cur := a.ledger[len(a.ledger)-1].Epoch
-	next := cur + 1
+	cur := a.ledger.Epoch()
 	if a.journal != nil {
-		if err := a.journal.LogAdvance(AdvanceRecord{Tenant: a.tenant, Epoch: next}); err != nil {
+		if err := a.journal.LogAdvance(AdvanceRecord{Tenant: a.tenant, Epoch: cur + 1}); err != nil {
 			return cur, fmt.Errorf("%w: %v", ErrPersistence, err)
 		}
 	}
-	a.ledger = append(a.ledger, EpochSpend{Epoch: next})
-	return next, nil
+	return cur + 1, a.ledger.Advance(cur + 1)
 }
 
 // Budget returns the accountant's total (ε, δ) budget.
@@ -202,32 +194,29 @@ func (a *Accountant) Def() (Definition, float64) {
 	return a.def, a.alpha
 }
 
-// Restore reinstates recovered accounting state onto a freshly
-// constructed accountant: spent totals, release count, and the
-// per-epoch ledger, exactly as recorded — no budget check is applied,
-// because a recovered spend is history, not a new charge (an operator
-// may even have shrunk the budget below the recorded spend; the
-// accountant then simply refuses further charges). It errors on an
-// accountant that has already been charged or advanced, and on a
-// ledger whose epochs do not strictly increase.
-func (a *Accountant) Restore(spentEps, spentDelta float64, releases int, ledger []EpochSpend) error {
-	if len(ledger) == 0 {
+// Restore reinstates a recovered ledger onto a freshly constructed
+// accountant, exactly as recorded — no budget check is applied, because
+// a recovered spend is history, not a new charge (an operator may even
+// have shrunk the budget below the recorded spend; the accountant then
+// simply refuses further charges). It errors on an accountant that has
+// already been charged or advanced, and on a ledger whose epochs are
+// empty or do not strictly increase.
+func (a *Accountant) Restore(l Ledger) error {
+	if len(l.Epochs) == 0 {
 		return fmt.Errorf("privacy: restore needs a non-empty ledger")
 	}
-	for i := 1; i < len(ledger); i++ {
-		if ledger[i].Epoch <= ledger[i-1].Epoch {
+	for i := 1; i < len(l.Epochs); i++ {
+		if l.Epochs[i].Epoch <= l.Epochs[i-1].Epoch {
 			return fmt.Errorf("privacy: restore ledger epochs must strictly increase (%d then %d)",
-				ledger[i-1].Epoch, ledger[i].Epoch)
+				l.Epochs[i-1].Epoch, l.Epochs[i].Epoch)
 		}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.spentEps != 0 || a.spentDelta != 0 || a.numReleases != 0 || len(a.ledger) != 1 || a.ledger[0] != (EpochSpend{}) {
+	if cur := a.ledger; cur.SpentEps != 0 || cur.SpentDelta != 0 || cur.Releases != 0 ||
+		len(cur.Epochs) != 1 || cur.Epochs[0] != (EpochSpend{}) {
 		return fmt.Errorf("privacy: restore onto an already-used accountant")
 	}
-	a.spentEps = spentEps
-	a.spentDelta = spentDelta
-	a.numReleases = releases
-	a.ledger = append([]EpochSpend(nil), ledger...)
+	a.ledger = l.Clone()
 	return nil
 }

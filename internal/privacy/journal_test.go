@@ -206,7 +206,7 @@ func TestRegistryAdvanceEpochLogged(t *testing.T) {
 
 func TestRestoreBitIdentical(t *testing.T) {
 	// Drive an accountant through charges and advances, then restore a
-	// fresh one from its observable state: every float must match
+	// fresh one from its ledger: every float must match
 	// bit-for-bit, because recovery replays the same additions in the
 	// same order.
 	src := newTestAccountant(t)
@@ -221,8 +221,7 @@ func TestRestoreBitIdentical(t *testing.T) {
 	}
 
 	dst := newTestAccountant(t)
-	spent := src.Spent()
-	if err := dst.Restore(spent.Eps, spent.Delta, src.Releases(), src.SpendByEpoch()); err != nil {
+	if err := dst.Restore(src.Ledger()); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if dst.Spent() != src.Spent() {
@@ -250,16 +249,16 @@ func TestRestoreBitIdentical(t *testing.T) {
 
 func TestRestoreGuards(t *testing.T) {
 	a := newTestAccountant(t)
-	if err := a.Restore(1, 0, 1, nil); err == nil {
+	if err := a.Restore(Ledger{SpentEps: 1, Releases: 1}); err == nil {
 		t.Fatal("empty ledger accepted")
 	}
-	if err := a.Restore(1, 0, 1, []EpochSpend{{Epoch: 2}, {Epoch: 1}}); err == nil {
+	if err := a.Restore(Ledger{SpentEps: 1, Releases: 1, Epochs: []EpochSpend{{Epoch: 2}, {Epoch: 1}}}); err == nil {
 		t.Fatal("non-increasing ledger accepted")
 	}
 	if err := a.Spend(Loss{Def: StrongEREE, Alpha: 2, Eps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Restore(1, 0, 1, []EpochSpend{{Epoch: 0, Eps: 1, Releases: 1}}); err == nil {
+	if err := a.Restore(Ledger{SpentEps: 1, Releases: 1, Epochs: []EpochSpend{{Epoch: 0, Eps: 1, Releases: 1}}}); err == nil {
 		t.Fatal("restore onto a used accountant accepted")
 	}
 }
@@ -272,7 +271,7 @@ func TestRestoreOverBudgetRefusesFurtherCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Restore(5, 0, 3, []EpochSpend{{Epoch: 0, Eps: 5, Releases: 3}}); err != nil {
+	if err := a.Restore(Ledger{SpentEps: 5, Releases: 3, Epochs: []EpochSpend{{Epoch: 0, Eps: 5, Releases: 3}}}); err != nil {
 		t.Fatalf("Restore of over-budget history: %v", err)
 	}
 	if err := a.Spend(Loss{Def: StrongEREE, Alpha: 2, Eps: 0.1}); !errors.Is(err, ErrBudgetExhausted) {

@@ -115,6 +115,19 @@ func main() {
 // allocSlack is how far allocs/op may exceed its record: 0.1%, rounded
 // up, so a zero-allocation benchmark must stay at zero. One allocation
 // per cell of a 2400-cell release is far outside it.
+//
+// Only BenchmarkAdvanceIncremental needs the slack: its scans check
+// their scratch out of the index's sync.Pool and fan out on one
+// goroutine per shard, and both move its count from run to run. Each
+// GC empties the pool, so the scratch it held is allocated again
+// (about 30 allocs/op: 80,947-80,951 at -cpu 2, 80,915-80,919 with
+// GOGC=off). Without GC two per-P effects remain: a scratch put back
+// into one P's private slot, which other Ps never steal from, misses a
+// Get on the other P (8.2 or 8.4 misses/op where a mutex-guarded free
+// list reads 8.0 every run), and a shard goroutine's descriptor goes
+// back to the free list of the P it exited on, so a spawn on the other
+// P may allocate a new one. With both a free list and inline shards
+// the count read 80,886 in five runs of six and 80,887 in one.
 func allocSlack(ref int) int { return int(math.Ceil(float64(ref) / 1000)) }
 
 // check runs every check of the gate against the measured samples and
