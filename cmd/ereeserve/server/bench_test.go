@@ -187,3 +187,52 @@ func BenchmarkFollowerApply(b *testing.B) {
 		}
 	}
 }
+
+// benchJournalRecord measures the journal's state work per record, with
+// no store and no fsync: apply one tagged spend to the state, which
+// moves its divergence digest, plus the digest record's share at the
+// cadence. Tenants take turns, and every tenant's replay ring starts
+// full, so each spend evicts. The per-record cost must not grow with
+// the tenant count or the ring fill: CI gates 256 tenants over 1 as a
+// time ratio (BENCH.json).
+func benchJournalRecord(b *testing.B, tenants int) {
+	st := newPersistentState()
+	digest := strings.Repeat("0123456789abcdef", 4)
+	names := make([]string, tenants)
+	for i := range names {
+		names[i] = fmt.Sprintf("tenant-%03d", i)
+		if err := st.applyRecord(registerRecord(privacy.RegisterRecord{
+			Tenant: names[i], Def: privacy.WeakEREE, Alpha: 0.1, BudgetEps: 1e18, BudgetDelta: 0.5,
+		})); err != nil {
+			b.Fatal(err)
+		}
+		ring := make([]replayKey, replayWindow)
+		for k := range ring {
+			ring[k] = replayKey{Seq: int64(k), Digest: digest}
+		}
+		st.Tenants[names[i]].Recent = ring
+	}
+	st.sum = sumOf(st)
+	recs := make([][]byte, 64*tenants)
+	for i := range recs {
+		recs[i] = spendRecord(privacy.SpendRecord{Tenant: names[i%tenants], Eps: 0.5, Releases: 1,
+			Tag: &privacy.SpendTag{Seq: int64(replayWindow + i), Digest: digest}})
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.applyRecord(recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
+		if (i+1)%digestEveryDefault == 0 {
+			sink = st.sumRecord()
+		}
+	}
+}
+
+var sink []byte
+
+func BenchmarkJournalRecordTenants1(b *testing.B)   { benchJournalRecord(b, 1) }
+func BenchmarkJournalRecordTenants16(b *testing.B)  { benchJournalRecord(b, 16) }
+func BenchmarkJournalRecordTenants256(b *testing.B) { benchJournalRecord(b, 256) }

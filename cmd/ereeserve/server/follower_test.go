@@ -1,10 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,5 +99,66 @@ func TestFollowerStatsMatchPrimary(t *testing.T) {
 		f.RemainingEps != p.RemainingEps || f.RemainingDelta != p.RemainingDelta ||
 		f.Releases != p.Releases || !reflect.DeepEqual(f.SpendByEpoch, p.SpendByEpoch) {
 		t.Fatalf("follower stats differ from the primary's:\n  primary:  %+v\n  follower: %+v", p, f)
+	}
+}
+
+// TestFollowerHaltsOnAlteredBatch: a follower whose shipped batch
+// differs from the records the primary's digest was computed over — a
+// proxy raises the ε of the first spend in every stream batch — halts
+// at the digest record: /readyz reports diverged, and promotion is
+// refused.
+func TestFollowerHaltsOnAlteredBatch(t *testing.T) {
+	_, primary := openDurable(t, t.TempDir(), 1, Options{NoiseSeed: 7, AdminKey: keyAdmin}, nil)
+	for seq := 0; seq < digestEveryDefault; seq++ {
+		body := fmt.Sprintf(`{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"seq":%d}`, seq)
+		if status, raw := do(t, primary, "POST", "/v1/release", keyAlpha, body); status != http.StatusOK {
+			t.Fatalf("release %d = %d: %s", seq, status, raw)
+		}
+	}
+	upstream, err := url.Parse(primary.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(upstream)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.URL.Path != "/v1/replication/stream" || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		var batch replStreamJSON
+		if err := json.Unmarshal(raw, &batch); err != nil {
+			return err
+		}
+		for i, rec := range batch.Records {
+			if rec[0] == recSpend {
+				batch.Records[i] = raiseSpendEps(rec)
+				break
+			}
+		}
+		if raw, err = json.Marshal(batch); err != nil {
+			return err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(raw))
+		resp.ContentLength = int64(len(raw))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(raw)))
+		return nil
+	}
+	tampering := httptest.NewServer(proxy)
+	t.Cleanup(tampering.Close)
+
+	_, follower := startFollower(t, tampering, 1, nil)
+	waitFor(t, "the follower to halt as diverged", func() bool {
+		_, body := do(t, follower, "GET", "/readyz", "", "")
+		return bytes.Contains(body, []byte(`"state":"diverged"`))
+	})
+	if st := replStatus(t, follower); !strings.Contains(st.Diverged, "state digest mismatch") {
+		t.Fatalf("follower diverged with %q, want a state digest mismatch", st.Diverged)
+	}
+	if status, body := do(t, follower, "POST", "/v1/admin/promote", keyAdmin, ""); status != http.StatusConflict {
+		t.Fatalf("promoting the diverged follower = %d: %s, want 409", status, body)
 	}
 }

@@ -9,7 +9,7 @@ package server
 // record but before the response wastes budget); under-charging would
 // let a restarted tenant re-spend, which is a privacy violation.
 //
-// The log carries seven record kinds: tenant registration (budget
+// The log carries these record kinds: tenant registration (budget
 // parameters, so recovery can rebuild an accountant before replaying
 // its charges), spends (the summed (ε, δ) of one charge plus its
 // request identity when tagged), per-tenant ledger advances, dataset
@@ -17,10 +17,13 @@ package server
 // are generated deterministically from the seed, so recovery replays
 // the dataset lineage instead of persisting datasets), fencing terms
 // (a node establishing or observing a term — see replication.go),
-// and periodic state digests (SHA-256 over the canonical state
-// encoding; replaying a digest record verifies it, so both recovery
-// and a streaming follower detect divergence instead of serving from
-// a forked state).
+// and periodic state digests. A digest record carries the state's
+// multiset hash (stateSum), which applyRecord keeps current in a few
+// element hashes per record; replaying a digest record compares it,
+// so both recovery and a streaming follower detect divergence instead
+// of serving from a forked state. Logs written before the multiset
+// hash carry SHA-256 over the canonical state encoding instead, which
+// replay still verifies.
 //
 // Persistence owns the node's one durable state, a persistentState,
 // from openState to Close. Every record the node stages (a primary's
@@ -47,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -63,7 +67,8 @@ const (
 	recAdvanceDataset byte = 4
 	recTerm           byte = 5 // node establishes fencing term (promote / first boot)
 	recFence          byte = 6 // node observed a higher foreign term and fenced itself
-	recDigest         byte = 7 // SHA-256 over the canonical state body at this log position
+	recDigest         byte = 7 // SHA-256 over the canonical state body; verified, no longer written
+	recStateSum       byte = 8 // the state's multiset hash (stateSum) at this log position
 )
 
 // snapshotVersion 2 added the fencing term and fenced flag; version-1
@@ -79,8 +84,8 @@ const replayWindow = 4096
 
 // digestEveryDefault is how many appended records elapse between
 // journaled state digests. Small enough that every chaos script
-// crosses at least one digest check; the encode-and-hash is over the
-// accounting state only (tens of KB at realistic tenant counts).
+// crosses at least one digest check; a digest record costs 41 log
+// bytes and no hashing, since the state keeps its sum current.
 const digestEveryDefault = 8
 
 // Crash-point names (armed via EREE_CRASH, see internal/crashpoint).
@@ -107,6 +112,11 @@ func (w *recWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 func (w *recWriter) str(s string) {
 	w.u32(uint32(len(s)))
 	w.b = append(w.b, s...)
+}
+func (w *recWriter) replayKey(k replayKey) {
+	w.i64(k.Seq)
+	w.str(k.Digest)
+	w.u64(uint64(k.Epoch))
 }
 
 var errTruncatedRecord = errors.New("truncated record")
@@ -175,13 +185,13 @@ func (r *recReader) done() error {
 // and term records. Every Log method is durable on return
 // (group-committed under concurrency via wal.Store.Stage/Commit).
 //
-// state is the node's durable state in exact log order. Periodic
-// digest records are computed over it: every digestEveryDefault records
-// the journal stages a recDigest carrying SHA-256 over the canonical
-// state body, and any replayer (recovery, a streaming follower)
-// recomputes and compares at the same log position. Staging — record
-// ordering plus state application — happens under mu; the fsync wait
-// does not, so group commit still batches.
+// state is the node's durable state in exact log order, and it keeps
+// its divergence digest current as each record applies. Every
+// digestEveryDefault records the journal stages a recStateSum
+// carrying that digest, and any replayer (recovery, a streaming
+// follower) compares its own at the same log position. Staging —
+// record ordering plus state application — happens under mu; the
+// fsync wait does not, so group commit still batches.
 //
 // The state sees a record when it is staged, before its fsync, so it
 // must never answer a replay lookup: that could re-serve bytes for a
@@ -216,11 +226,7 @@ func (p *Persistence) append(rec []byte) error {
 	}
 	p.sinceDigest++
 	if p.sinceDigest >= digestEveryDefault {
-		d := digestOf(p.state)
-		var w recWriter
-		w.u8(recDigest)
-		w.b = append(w.b, d[:]...)
-		if dseq, derr := p.store.Stage(w.b); derr == nil {
+		if dseq, derr := p.store.Stage(p.state.sumRecord()); derr == nil {
 			// Digest records do not mutate state; nothing to apply.
 			seq = dseq
 			p.sinceDigest = 0
@@ -302,12 +308,39 @@ func (p *Persistence) compact() error {
 // its log would compute right now.
 func (p *Persistence) digest() string {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	d := digestOf(p.state)
+	d := p.state.sum.bytes()
+	p.mu.Unlock()
 	return hex.EncodeToString(d[:])
 }
 
-func (p *Persistence) LogSpend(rec privacy.SpendRecord) error {
+func (p *Persistence) LogSpend(rec privacy.SpendRecord) error { return p.append(spendRecord(rec)) }
+
+func (p *Persistence) LogAdvance(rec privacy.AdvanceRecord) error {
+	return p.append(tenantAdvanceRecord(rec))
+}
+
+func (p *Persistence) LogRegister(rec privacy.RegisterRecord) error {
+	return p.append(registerRecord(rec))
+}
+
+// LogDatasetAdvance records that the server absorbed its quarter-th
+// quarterly delta, generated from seed. Recovery regenerates the delta
+// from the seed — generation is deterministic — and re-advances.
+func (p *Persistence) LogDatasetAdvance(quarter int, seed int64) error {
+	return p.append(datasetAdvanceRecord(quarter, seed))
+}
+
+// LogTerm durably records this node establishing term (promotion or
+// first primary boot); LogFence records it observing a higher foreign
+// term and fencing itself. Both are monotonic: applyRecord refuses a
+// regression, so a forked log cannot smuggle an old term back in.
+func (p *Persistence) LogTerm(term uint64) error { return p.append(termRecord(recTerm, term)) }
+
+func (p *Persistence) LogFence(term uint64) error { return p.append(termRecord(recFence, term)) }
+
+// ---- record encodings ---------------------------------------------
+
+func spendRecord(rec privacy.SpendRecord) []byte {
 	var w recWriter
 	w.u8(recSpend)
 	w.str(rec.Tenant)
@@ -322,18 +355,18 @@ func (p *Persistence) LogSpend(rec privacy.SpendRecord) error {
 	} else {
 		w.u8(0)
 	}
-	return p.append(w.b)
+	return w.b
 }
 
-func (p *Persistence) LogAdvance(rec privacy.AdvanceRecord) error {
+func tenantAdvanceRecord(rec privacy.AdvanceRecord) []byte {
 	var w recWriter
 	w.u8(recAdvanceTenant)
 	w.str(rec.Tenant)
 	w.u64(uint64(rec.Epoch))
-	return p.append(w.b)
+	return w.b
 }
 
-func (p *Persistence) LogRegister(rec privacy.RegisterRecord) error {
+func registerRecord(rec privacy.RegisterRecord) []byte {
 	var w recWriter
 	w.u8(recRegister)
 	w.str(rec.Tenant)
@@ -341,36 +374,23 @@ func (p *Persistence) LogRegister(rec privacy.RegisterRecord) error {
 	w.f64(rec.Alpha)
 	w.f64(rec.BudgetEps)
 	w.f64(rec.BudgetDelta)
-	return p.append(w.b)
+	return w.b
 }
 
-// LogDatasetAdvance records that the server absorbed its quarter-th
-// quarterly delta, generated from seed. Recovery regenerates the delta
-// from the seed — generation is deterministic — and re-advances.
-func (p *Persistence) LogDatasetAdvance(quarter int, seed int64) error {
+func datasetAdvanceRecord(quarter int, seed int64) []byte {
 	var w recWriter
 	w.u8(recAdvanceDataset)
 	w.u64(uint64(quarter))
 	w.i64(seed)
-	return p.append(w.b)
+	return w.b
 }
 
-// LogTerm durably records this node establishing term (promotion or
-// first primary boot); LogFence records it observing a higher foreign
-// term and fencing itself. Both are monotonic: applyRecord refuses a
-// regression, so a forked log cannot smuggle an old term back in.
-func (p *Persistence) LogTerm(term uint64) error {
+// termRecord encodes a recTerm or recFence record.
+func termRecord(kind byte, term uint64) []byte {
 	var w recWriter
-	w.u8(recTerm)
+	w.u8(kind)
 	w.u64(term)
-	return p.append(w.b)
-}
-
-func (p *Persistence) LogFence(term uint64) error {
-	var w recWriter
-	w.u8(recFence)
-	w.u64(term)
-	return p.append(w.b)
+	return w.b
 }
 
 // ---- recovered state ----------------------------------------------
@@ -399,34 +419,173 @@ type tenantState struct {
 // persistentState is everything the snapshot carries (and the log
 // patches): the dataset lineage, every tenant's accounting — including
 // tenants the current configuration no longer names, whose history
-// simply stays — and the node's fencing term.
+// simply stays — and the node's fencing term. sum is not encoded: it
+// is the state's divergence digest, sumOf(st), which decodeSnapshot
+// computes once and applyRecord keeps current; enc is applyRecord's
+// scratch writer for element hashes.
 type persistentState struct {
 	QuarterSeeds []int64
 	Tenants      map[string]*tenantState
 	Term         uint64
 	Fenced       bool
+	sum          stateSum
+	enc          recWriter
 }
 
 func newPersistentState() *persistentState {
 	return &persistentState{Tenants: make(map[string]*tenantState)}
 }
 
-// digestOf is the divergence detector's view of state: SHA-256 over
-// the canonical body encoding — dataset lineage, tenant ledgers, seq
-// counters, replay rings — in sorted tenant order. The fencing term
-// and fenced flag are deliberately excluded: a promoted follower (term
-// bumped) must still converge byte-for-byte with an uninterrupted
-// single-node run of the same history.
-func digestOf(st *persistentState) [sha256.Size]byte {
+// ---- divergence digest --------------------------------------------
+
+// stateSum is the divergence digest: a multiset hash (MSet-Add-Hash,
+// Clarke et al., ASIACRYPT 2003), the sum mod 2²⁵⁶ of SHA-256 over
+// each state element. Addition commutes, so the sum needs no element
+// order, and a record that changes some elements moves it by
+// subtracting their old hashes and adding their new ones — a few
+// hashes per record, whatever the size of the state. The limbs are
+// little-endian: s[0] holds the least significant 64 bits.
+//
+// The digest detects divergence between replayers of one log. It is
+// not a commitment against the log's writer, and with elements chosen
+// by an adversary a 256-bit additive hash is not collision-resistant
+// (Wagner's generalized birthday attack); DESIGN §12.
+type stateSum [4]uint64
+
+func (s *stateSum) add(h [sha256.Size]byte) {
+	var c uint64
+	for i := range s {
+		s[i], c = bits.Add64(s[i], binary.BigEndian.Uint64(h[24-8*i:]), c)
+	}
+}
+
+func (s *stateSum) sub(h [sha256.Size]byte) {
+	var b uint64
+	for i := range s {
+		s[i], b = bits.Sub64(s[i], binary.BigEndian.Uint64(h[24-8*i:]), b)
+	}
+}
+
+// bytes is the sum as a 32-byte big-endian integer: the form digest
+// records and the replication status carry.
+func (s stateSum) bytes() (out [sha256.Size]byte) {
+	for i, l := range s {
+		binary.BigEndian.PutUint64(out[24-8*i:], l)
+	}
+	return out
+}
+
+// State element kinds. Each element is hashed as SHA-256 over its kind
+// byte and its recWriter encoding, so elements of two kinds never
+// share an encoding. The fencing term and fenced flag are no element:
+// a promoted follower (term bumped) must still converge with an
+// uninterrupted single-node run of the same history.
+const (
+	elemTenant  byte = 1 // identity, budgets, ledger totals and NextSeq
+	elemEpoch   byte = 2 // one ledger epoch entry and its position
+	elemQuarter byte = 3 // one dataset quarter's index and seed
+	elemReplay  byte = 4 // one replay-ring entry and its predecessor
+)
+
+// The element hashes encode into w's buffer, reset first, so a
+// state's scratch writer (persistentState.enc) serves every record
+// without allocating once it has grown to the largest element.
+
+func (w *recWriter) tenantElem(name string, t *tenantState) [sha256.Size]byte {
+	w.b = append(w.b[:0], elemTenant)
+	w.str(name)
+	w.u32(uint32(t.Def))
+	w.f64(t.Alpha)
+	w.f64(t.BudgetEps)
+	w.f64(t.BudgetDelta)
+	w.f64(t.Ledger.SpentEps)
+	w.f64(t.Ledger.SpentDelta)
+	w.u64(uint64(t.Ledger.Releases))
+	w.i64(t.NextSeq)
+	return sha256.Sum256(w.b)
+}
+
+func (w *recWriter) epochElem(name string, pos int, e privacy.EpochSpend) [sha256.Size]byte {
+	w.b = append(w.b[:0], elemEpoch)
+	w.str(name)
+	w.u32(uint32(pos))
+	w.u64(uint64(e.Epoch))
+	w.f64(e.Eps)
+	w.f64(e.Delta)
+	w.u64(uint64(e.Releases))
+	return sha256.Sum256(w.b)
+}
+
+func (w *recWriter) quarterElem(quarter int, seed int64) [sha256.Size]byte {
+	w.b = append(w.b[:0], elemQuarter)
+	w.u32(uint32(quarter))
+	w.i64(seed)
+	return sha256.Sum256(w.b)
+}
+
+// replayElem hashes ring entry k with its predecessor, nil for the
+// oldest entry. Chaining each entry to the one before it covers the
+// ring's order without storing a position: an append adds one element,
+// and evicting the oldest entry removes two and adds one.
+func (w *recWriter) replayElem(name string, k replayKey, pred *replayKey) [sha256.Size]byte {
+	w.b = append(w.b[:0], elemReplay)
+	w.str(name)
+	w.replayKey(k)
+	if pred == nil {
+		w.u8(0)
+	} else {
+		w.u8(1)
+		w.replayKey(*pred)
+	}
+	return sha256.Sum256(w.b)
+}
+
+// sumOf computes a state's divergence digest from scratch: the sum of
+// every element's hash. decodeSnapshot calls it once; from there
+// applyRecord keeps st.sum equal to it, which the tests check against
+// this function.
+func sumOf(st *persistentState) stateSum {
+	var s stateSum
+	var w recWriter
+	for q, seed := range st.QuarterSeeds {
+		s.add(w.quarterElem(q, seed))
+	}
+	for name, t := range st.Tenants {
+		s.add(w.tenantElem(name, t))
+		for pos, e := range t.Ledger.Epochs {
+			s.add(w.epochElem(name, pos, e))
+		}
+		var pred *replayKey
+		for i := range t.Recent {
+			s.add(w.replayElem(name, t.Recent[i], pred))
+			pred = &t.Recent[i]
+		}
+	}
+	return s
+}
+
+// sumRecord is the digest record the primary stages at the cadence.
+func (st *persistentState) sumRecord() []byte {
+	d := st.sum.bytes()
+	return append([]byte{recStateSum}, d[:]...)
+}
+
+// legacyDigest is the digest recDigest records carry: SHA-256 over the
+// canonical body encoding, in sorted tenant order. It costs a pass over
+// the whole state, so it is computed only to verify those records in
+// logs written before the multiset hash.
+func legacyDigest(st *persistentState) [sha256.Size]byte {
 	var w recWriter
 	encodeStateBody(&w, st)
 	return sha256.Sum256(w.b)
 }
 
-// applyRecord replays one log record onto the state. Records are
-// CRC-clean by the time they get here, so a semantic violation means
-// the log and snapshot disagree structurally — that is corruption, and
-// recovery fails rather than guessing at spend totals.
+// applyRecord replays one log record onto the state, and moves st.sum
+// by the elements it changes. Records are CRC-clean by the time they
+// get here, so a semantic violation means the log and snapshot
+// disagree structurally — that is corruption, and recovery fails
+// rather than guessing at spend totals. A refused record changes
+// nothing.
 func (st *persistentState) applyRecord(payload []byte) error {
 	r := &recReader{b: payload}
 	kind := r.u8()
@@ -446,14 +605,19 @@ func (st *persistentState) applyRecord(payload []byte) error {
 			if t.Def != def || t.Alpha != alpha {
 				return fmt.Errorf("tenant %q re-registered under a different definition", name)
 			}
+			st.sum.sub(st.enc.tenantElem(name, t))
 			t.BudgetEps, t.BudgetDelta = beps, bdelta
+			st.sum.add(st.enc.tenantElem(name, t))
 			return nil
 		}
-		st.Tenants[name] = &tenantState{
+		t := &tenantState{
 			Def: def, Alpha: alpha,
 			BudgetEps: beps, BudgetDelta: bdelta,
 			Ledger: privacy.NewLedger(),
 		}
+		st.Tenants[name] = t
+		st.sum.add(st.enc.tenantElem(name, t))
+		st.sum.add(st.enc.epochElem(name, 0, t.Ledger.Epochs[0]))
 		return nil
 
 	case recSpend:
@@ -470,18 +634,20 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		if !ok {
 			return fmt.Errorf("spend for unregistered tenant %q", name)
 		}
+		open := len(t.Ledger.Epochs) - 1
+		st.sum.sub(st.enc.tenantElem(name, t))
+		st.sum.sub(st.enc.epochElem(name, open, t.Ledger.Epochs[open]))
 		// The live accountant's own charge, in its order — the journal
 		// append happens under its mutex — so the floats are bit-identical.
 		t.Ledger.Charge(eps, delta, int(releases))
 		if tagged == 1 {
-			t.Recent = append(t.Recent, tag)
-			if len(t.Recent) > replayWindow {
-				t.Recent = t.Recent[len(t.Recent)-replayWindow:]
-			}
+			st.pushReplay(name, t, tag)
 			if tag.Seq+1 > t.NextSeq {
 				t.NextSeq = tag.Seq + 1
 			}
 		}
+		st.sum.add(st.enc.tenantElem(name, t))
+		st.sum.add(st.enc.epochElem(name, open, t.Ledger.Epochs[open]))
 		return nil
 
 	case recAdvanceTenant:
@@ -496,6 +662,8 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		if err := t.Ledger.Advance(int(epoch)); err != nil {
 			return fmt.Errorf("tenant %q %v", name, err)
 		}
+		open := len(t.Ledger.Epochs) - 1
+		st.sum.add(st.enc.epochElem(name, open, t.Ledger.Epochs[open]))
 		return nil
 
 	case recAdvanceDataset:
@@ -506,6 +674,7 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		if int(quarter) != len(st.QuarterSeeds) {
 			return fmt.Errorf("dataset advance for quarter %d, expected %d", quarter, len(st.QuarterSeeds))
 		}
+		st.sum.add(st.enc.quarterElem(len(st.QuarterSeeds), seed))
 		st.QuarterSeeds = append(st.QuarterSeeds, seed)
 		return nil
 
@@ -521,12 +690,16 @@ func (st *persistentState) applyRecord(payload []byte) error {
 		st.Fenced = kind == recFence
 		return nil
 
-	case recDigest:
+	case recStateSum, recDigest:
 		sum := r.take(sha256.Size)
 		if err := r.done(); err != nil {
 			return err
 		}
-		if want := digestOf(st); !bytes.Equal(sum, want[:]) {
+		want := st.sum.bytes()
+		if kind == recDigest {
+			want = legacyDigest(st)
+		}
+		if !bytes.Equal(sum, want[:]) {
 			return fmt.Errorf("state digest mismatch at log position: recorded %x, computed %x — replica/replay has diverged", sum, want)
 		}
 		return nil
@@ -536,9 +709,28 @@ func (st *persistentState) applyRecord(payload []byte) error {
 	}
 }
 
+// pushReplay appends k to t's replay ring and evicts the oldest entries
+// beyond replayWindow, moving st.sum by each entry-and-predecessor
+// element that appears or goes.
+func (st *persistentState) pushReplay(name string, t *tenantState, k replayKey) {
+	var pred *replayKey
+	if n := len(t.Recent); n > 0 {
+		pred = &t.Recent[n-1]
+	}
+	st.sum.add(st.enc.replayElem(name, k, pred))
+	t.Recent = append(t.Recent, k)
+	for len(t.Recent) > replayWindow {
+		oldest, next := t.Recent[0], t.Recent[1]
+		st.sum.sub(st.enc.replayElem(name, oldest, nil))
+		st.sum.sub(st.enc.replayElem(name, next, &oldest))
+		st.sum.add(st.enc.replayElem(name, next, nil))
+		t.Recent = t.Recent[1:]
+	}
+}
+
 // encodeSnapshot serializes the full state (sorted tenant order, so
 // identical state is identical bytes): a version byte, the fencing
-// term and fenced flag, then the canonical body digests cover.
+// term and fenced flag, then the canonical body.
 func encodeSnapshot(st *persistentState) []byte {
 	var w recWriter
 	w.u8(snapshotVersion)
@@ -583,9 +775,7 @@ func encodeStateBody(w *recWriter, st *persistentState) {
 		}
 		w.u32(uint32(len(t.Recent)))
 		for _, k := range t.Recent {
-			w.i64(k.Seq)
-			w.str(k.Digest)
-			w.u64(uint64(k.Epoch))
+			w.replayKey(k)
 		}
 	}
 }
@@ -626,6 +816,7 @@ func decodeSnapshot(payload []byte) (*persistentState, error) {
 	if err := r.done(); err != nil {
 		return nil, err
 	}
+	st.sum = sumOf(st)
 	return st, nil
 }
 

@@ -62,8 +62,9 @@ type replStreamJSON struct {
 }
 
 // replStatusJSON is the operator/harness view of a node's replication
-// position. StateDigest is the live divergence digest (hex SHA-256 over
-// the canonical state body), directly comparable across nodes.
+// position. StateDigest is the live divergence digest (hex, the state's
+// multiset hash that applyRecord keeps current), directly comparable
+// across nodes of one version.
 type replStatusJSON struct {
 	Role           string `json:"role"`
 	Term           uint64 `json:"term"`
