@@ -290,15 +290,23 @@ func BenchmarkSDLRelease(b *testing.B) {
 }
 
 // BenchmarkGenerateDataset measures the synthetic LODES generator at the
-// small test scale (~2k establishments).
+// small test scale (~2k establishments, ~40k jobs) and at the default
+// scale every server boot regenerates (~20k establishments, ~400k jobs).
+// Generate fills the job relation on GOMAXPROCS cores, so compare runs
+// at the same -cpu.
 func BenchmarkGenerateDataset(b *testing.B) {
-	cfg := lodes.TestConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := lodes.MustGenerate(cfg, dist.NewStreamFromSeed(int64(i)))
-		if d.NumJobs() == 0 {
-			b.Fatal("empty dataset")
-		}
+	for _, sc := range []struct {
+		name string
+		cfg  lodes.Config
+	}{{"test", lodes.TestConfig()}, {"default", lodes.DefaultConfig()}} {
+		b.Run(sc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d := lodes.MustGenerate(sc.cfg, dist.NewStreamFromSeed(int64(i)))
+				if d.NumJobs() == 0 {
+					b.Fatal("empty dataset")
+				}
+			}
+		})
 	}
 }
 

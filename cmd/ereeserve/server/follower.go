@@ -29,6 +29,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -170,6 +171,9 @@ func (rs *replState) bootstrap(s *Server) error {
 	if err := rs.get(s, "/v1/replication/snapshot", nil, &snap); err != nil {
 		return err
 	}
+	if err := checkArch(snap.Arch); err != nil {
+		return err
+	}
 	if err := s.persist.install(snap.Snapshot, s.pub.Epoch()); err != nil {
 		return fatalRepl(err)
 	}
@@ -203,6 +207,9 @@ func (rs *replState) streamOnce(s *Server) error {
 	if err := rs.get(s, "/v1/replication/stream", q, &resp); err != nil {
 		return err
 	}
+	if err := checkArch(resp.Arch); err != nil {
+		return err
+	}
 	if resp.Compacted {
 		rs.mu.Lock()
 		rs.synced = false
@@ -232,6 +239,20 @@ func (rs *replState) streamOnce(s *Server) error {
 	rs.applied += uint64(len(resp.Records))
 	rs.offset = resp.Next
 	rs.upstreamDurable = resp.DurableRecords
+	return nil
+}
+
+// checkArch halts replication from a primary built for another
+// architecture. Both nodes regenerate the dataset from its seed, and
+// math.Exp, math.Log and math.Pow may round differently across
+// architectures, so such a follower could hold a different dataset,
+// pass every ledger digest, and after promotion serve different truths.
+// A primary that reports no architecture predates the field and is
+// accepted: followers upgrade before their primary (DESIGN.md §12).
+func checkArch(primary string) error {
+	if primary != "" && primary != runtime.GOARCH {
+		return fatalRepl(fmt.Errorf("primary runs on %s, this follower on %s: the regenerated datasets may differ", primary, runtime.GOARCH))
+	}
 	return nil
 }
 

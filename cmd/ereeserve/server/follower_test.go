@@ -10,6 +10,7 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -102,6 +103,39 @@ func TestFollowerStatsMatchPrimary(t *testing.T) {
 	}
 }
 
+// rewritingProxy serves a proxy of primary that passes every 200
+// response body of a replication endpoint through edit, the fake
+// primary the follower tests stream from.
+func rewritingProxy(t *testing.T, primary *httptest.Server, edit func(path string, body []byte) ([]byte, error)) *httptest.Server {
+	t.Helper()
+	upstream, err := url.Parse(primary.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(upstream)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		path := resp.Request.URL.Path
+		if !strings.HasPrefix(path, "/v1/replication/") || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if raw, err = edit(path, raw); err != nil {
+			return err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(raw))
+		resp.ContentLength = int64(len(raw))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(raw)))
+		return nil
+	}
+	hs := httptest.NewServer(proxy)
+	t.Cleanup(hs.Close)
+	return hs
+}
+
 // TestFollowerHaltsOnAlteredBatch: a follower whose shipped batch
 // differs from the records the primary's digest was computed over — a
 // proxy raises the ε of the first spend in every stream batch — halts
@@ -115,23 +149,13 @@ func TestFollowerHaltsOnAlteredBatch(t *testing.T) {
 			t.Fatalf("release %d = %d: %s", seq, status, raw)
 		}
 	}
-	upstream, err := url.Parse(primary.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httputil.NewSingleHostReverseProxy(upstream)
-	proxy.ModifyResponse = func(resp *http.Response) error {
-		if resp.Request.URL.Path != "/v1/replication/stream" || resp.StatusCode != http.StatusOK {
-			return nil
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
+	tampering := rewritingProxy(t, primary, func(path string, raw []byte) ([]byte, error) {
+		if path != "/v1/replication/stream" {
+			return raw, nil
 		}
 		var batch replStreamJSON
 		if err := json.Unmarshal(raw, &batch); err != nil {
-			return err
+			return nil, err
 		}
 		for i, rec := range batch.Records {
 			if rec[0] == recSpend {
@@ -139,16 +163,8 @@ func TestFollowerHaltsOnAlteredBatch(t *testing.T) {
 				break
 			}
 		}
-		if raw, err = json.Marshal(batch); err != nil {
-			return err
-		}
-		resp.Body = io.NopCloser(bytes.NewReader(raw))
-		resp.ContentLength = int64(len(raw))
-		resp.Header.Set("Content-Length", strconv.Itoa(len(raw)))
-		return nil
-	}
-	tampering := httptest.NewServer(proxy)
-	t.Cleanup(tampering.Close)
+		return json.Marshal(batch)
+	})
 
 	_, follower := startFollower(t, tampering, 1, nil)
 	waitFor(t, "the follower to halt as diverged", func() bool {
@@ -161,4 +177,67 @@ func TestFollowerHaltsOnAlteredBatch(t *testing.T) {
 	if status, body := do(t, follower, "POST", "/v1/admin/promote", keyAdmin, ""); status != http.StatusConflict {
 		t.Fatalf("promoting the diverged follower = %d: %s, want 409", status, body)
 	}
+}
+
+// TestFollowerRefusesOtherArch: a follower checks the architecture its
+// primary reports in the snapshot and stream responses. A primary that
+// reports none (a version before the field) is mirrored as usual; one
+// that reports another GOARCH halts the follower before it installs
+// anything: /readyz reports diverged, naming both architectures, and
+// promotion is refused.
+func TestFollowerRefusesOtherArch(t *testing.T) {
+	other := "arm64"
+	if runtime.GOARCH == other {
+		other = "amd64"
+	}
+	setArch := func(arch string) func(string, []byte) ([]byte, error) {
+		return func(_ string, raw []byte) ([]byte, error) {
+			var body map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &body); err != nil {
+				return nil, err
+			}
+			if _, ok := body["arch"]; !ok {
+				return nil, fmt.Errorf("replication response carries no arch: %s", raw)
+			}
+			delete(body, "arch")
+			if arch != "" {
+				body["arch"] = json.RawMessage(strconv.Quote(arch))
+			}
+			return json.Marshal(body)
+		}
+	}
+	release := func(hs *httptest.Server) {
+		t.Helper()
+		if status, body := do(t, hs, "POST", "/v1/release", keyAlpha,
+			`{"attrs":["industry"],"mechanism":"smooth-gamma","alpha":0.1,"eps":0.5,"seq":0}`); status != http.StatusOK {
+			t.Fatalf("release = %d: %s", status, body)
+		}
+	}
+
+	t.Run("omitted", func(t *testing.T) {
+		_, primary := openDurable(t, t.TempDir(), 1, Options{NoiseSeed: 7, AdminKey: keyAdmin}, nil)
+		release(primary)
+		_, follower := startFollower(t, rewritingProxy(t, primary, setArch("")), 1, nil)
+		waitMirrored(t, primary, follower)
+	})
+
+	t.Run("other", func(t *testing.T) {
+		_, primary := openDurable(t, t.TempDir(), 1, Options{NoiseSeed: 7, AdminKey: keyAdmin}, nil)
+		release(primary)
+		_, follower := startFollower(t, rewritingProxy(t, primary, setArch(other)), 1, nil)
+		waitFor(t, "the follower to halt as diverged", func() bool {
+			_, body := do(t, follower, "GET", "/readyz", "", "")
+			return bytes.Contains(body, []byte(`"state":"diverged"`))
+		})
+		st := replStatus(t, follower)
+		if !strings.Contains(st.Diverged, other) || !strings.Contains(st.Diverged, runtime.GOARCH) {
+			t.Fatalf("follower diverged with %q, want both %s and %s named", st.Diverged, other, runtime.GOARCH)
+		}
+		if st.Gen != 0 || st.AppliedRecords != 0 {
+			t.Fatalf("follower installed the primary's state before refusing it: %+v", st)
+		}
+		if status, body := do(t, follower, "POST", "/v1/admin/promote", keyAdmin, ""); status != http.StatusConflict {
+			t.Fatalf("promoting the diverged follower = %d: %s, want 409", status, body)
+		}
+	})
 }

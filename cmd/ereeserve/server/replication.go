@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -40,7 +41,11 @@ const (
 
 // replSnapshotJSON is the bootstrap payload: decode Snapshot (the
 // compacted prefix), then stream generation Gen from wal.StreamStart().
+// Arch is the primary's runtime.GOARCH (see checkArch); it and the
+// stream response's Arch are empty from a primary that predates the
+// field.
 type replSnapshotJSON struct {
+	Arch           string `json:"arch,omitempty"`
 	Term           uint64 `json:"term"`
 	Gen            uint64 `json:"gen"`
 	Snapshot       []byte `json:"snapshot"`
@@ -53,6 +58,7 @@ type replSnapshotJSON struct {
 // the follower can report its lag. Compacted means the requested
 // generation is gone — re-bootstrap from the snapshot.
 type replStreamJSON struct {
+	Arch           string   `json:"arch,omitempty"`
 	Term           uint64   `json:"term"`
 	Gen            uint64   `json:"gen"`
 	Next           int64    `json:"next"`
@@ -139,6 +145,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	_, _, nrec := s.persist.store.Durable()
 	writeJSON(w, http.StatusOK, replSnapshotJSON{
+		Arch:           runtime.GOARCH,
 		Term:           s.term.Load(),
 		Gen:            gen,
 		Snapshot:       snap,
@@ -183,7 +190,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	recs, next, err := s.persist.store.Tail(gen, offset, wait, maxStreamBytes)
 	if errors.Is(err, wal.ErrCompacted) {
 		cur, _, _ := s.persist.store.Durable()
-		writeJSON(w, http.StatusOK, replStreamJSON{Term: s.term.Load(), Gen: cur, Compacted: true})
+		writeJSON(w, http.StatusOK, replStreamJSON{Arch: runtime.GOARCH, Term: s.term.Load(), Gen: cur, Compacted: true})
 		return
 	}
 	if err != nil {
@@ -192,6 +199,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	}
 	_, _, nrec := s.persist.store.Durable()
 	writeJSON(w, http.StatusOK, replStreamJSON{
+		Arch:           runtime.GOARCH,
 		Term:           s.term.Load(),
 		Gen:            gen,
 		Next:           next,

@@ -28,6 +28,11 @@
 // independent of each other and of the parent's own draw sequence; the
 // golden-vector tests pin both properties.
 //
+// Positions are addressable as well: Skip(n) moves a stream past n
+// draws in O(1) and is defined as equal to n Uint64 draws, so a
+// consumer that takes a fixed number of draws per item can start a
+// worker at any item.
+//
 // Sampler versioning: the mapping from uniform bits to a sampler's
 // variates is part of the contract, and changing it is a versioned
 // event recorded in the golden vectors. The current generalized-Cauchy

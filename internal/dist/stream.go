@@ -57,6 +57,15 @@ func (s *Stream) Uint64() uint64 {
 	return mix64(s.state)
 }
 
+// Skip moves the stream past n draws in O(1), leaving it exactly where
+// n Uint64 calls would: each draw adds golden to the state, so n draws
+// add n·golden (mod 2⁶⁴). A cached Box–Muller spare is left as it is.
+// Skip is what lets a worker start at any job's draws of a positional
+// stream (see DESIGN.md §2).
+func (s *Stream) Skip(n uint64) {
+	s.state += n * golden
+}
+
 // Float64 returns a uniform draw in [0, 1).
 func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)

@@ -225,3 +225,60 @@ func correlation(x, y []float64) float64 {
 	vy := syy/n - sy/n*sy/n
 	return cov / math.Sqrt(vx*vy)
 }
+
+// TestSkipEqualsDraws pins Skip's definition: Skip(n) leaves a stream
+// exactly where n Uint64 draws would. Small n are checked against the
+// draws themselves; for n = 2⁴⁰+3 the state is checked against n
+// additions of the increment, summed by doubling, and the split
+// Skip(2⁴⁰) plus three draws must agree with it too.
+func TestSkipEqualsDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 5, 1<<40 + 3} {
+		skipped := NewStreamFromSeed(13)
+		skipped.Skip(n)
+		want := NewStreamFromSeed(13)
+		if n < 1<<20 {
+			for i := uint64(0); i < n; i++ {
+				want.Uint64()
+			}
+		} else {
+			var sum uint64
+			for inc, k := uint64(golden), n; k > 0; inc, k = inc+inc, k>>1 {
+				if k&1 == 1 {
+					sum += inc
+				}
+			}
+			want.state += sum
+			split := NewStreamFromSeed(13)
+			split.Skip(1 << 40)
+			for i := 0; i < 3; i++ {
+				split.Uint64()
+			}
+			if split.state != want.state {
+				t.Fatalf("Skip(2⁴⁰) plus 3 draws is at state %#x, want %#x", split.state, want.state)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if got, w := skipped.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("Skip(%d): draw %d after it = %#x, want %#x", n, i, got, w)
+			}
+		}
+	}
+}
+
+// TestSkipKeepsNormalSpare: Skip moves only the uniform position, so a
+// Box–Muller spare cached before it is still the next normal after it.
+func TestSkipKeepsNormalSpare(t *testing.T) {
+	a, b := NewStreamFromSeed(14), NewStreamFromSeed(14)
+	a.NormFloat64()
+	b.NormFloat64()
+	a.Skip(5)
+	if got, want := a.NormFloat64(), b.NormFloat64(); got != want {
+		t.Fatalf("normal after Skip = %v, want the cached spare %v", got, want)
+	}
+	for i := 0; i < 5; i++ {
+		b.Uint64()
+	}
+	if got, want := a.Uint64(), b.Uint64(); got != want {
+		t.Fatalf("draw after the spare = %#x, want %#x (five draws on)", got, want)
+	}
+}

@@ -311,22 +311,37 @@ func (d *Dataset) ApplyDelta(dl *Delta) (*Dataset, error) {
 	ests := append([]Establishment(nil), d.Establishments...)
 	full := table.NewWithCapacity(d.Schema(), d.NumJobs()+added-removed)
 	old := d.WorkerFull
+	// Kept rows are copied a run at a time: [runLo, runHi) collects the
+	// kept spans of consecutive establishments while they abut in the
+	// base relation, and one AppendSpan copies the run when a gap (a
+	// death, a separation) or a hire's new rows end it.
+	runLo, runHi := 0, 0
 	for i := range ests {
 		e := int32(i)
 		if dead[e] {
 			ests[i].Employment = 0
 			continue
 		}
-		lo, hi := spans[e][0], spans[e][1]
-		keep := hi - int32(seps[e])
-		full.AppendSpan(old, int(lo), int(keep))
+		lo, keep := int(spans[e][0]), int(spans[e][1])-seps[e]
+		if keep > lo {
+			if lo != runHi {
+				full.AppendSpan(old, runLo, runHi)
+				runLo = lo
+			}
+			runHi = keep
+		}
 		est := &ests[i]
-		for _, j := range hires[e] {
-			full.AppendRow(e, est.Place, est.Industry, est.Ownership,
-				j.Sex, j.Age, j.Race, j.Ethnicity, j.Education)
+		if len(hires[e]) > 0 {
+			full.AppendSpan(old, runLo, runHi)
+			runLo = runHi
+			for _, j := range hires[e] {
+				full.AppendRow(e, est.Place, est.Industry, est.Ownership,
+					j.Sex, j.Age, j.Race, j.Ethnicity, j.Education)
+			}
 		}
 		est.Employment += len(hires[e]) - seps[e]
 	}
+	full.AppendSpan(old, runLo, runHi)
 	for i, b := range dl.Births {
 		id := int32(len(d.Establishments) + i)
 		ests = append(ests, Establishment{
@@ -434,28 +449,29 @@ func (c DeltaConfig) Validate() error {
 }
 
 // drawJob draws one worker's attributes from the sector-conditioned
-// distributions, in the snapshot generator's exact draw order.
-func drawJob(s *dist.Stream, fProb float64, eduW []float64) JobRecord {
+// distributions, in the snapshot generator's exact draw order. It takes
+// exactly jobDraws draws, one per attribute, whatever it draws: the job
+// kernel's positional layout depends on it.
+func drawJob(s *dist.Stream, jd *jobDist) JobRecord {
 	var j JobRecord
-	if s.Float64() < fProb {
+	if s.Float64() < jd.femaleProb {
 		j.Sex = 1
 	}
-	j.Age = sampleCat(s, ageDist[:])
-	j.Race = sampleCat(s, raceDist[:])
+	j.Age = ageSampler.sample(s)
+	j.Race = raceSampler.sample(s)
 	if s.Float64() < hispanicProb {
 		j.Ethnicity = 1
 	}
-	j.Education = sampleCat(s, eduW)
+	j.Education = jd.education.sample(s)
 	return j
 }
 
 // drawJobs draws n jobs for an establishment in the given sector.
 func drawJobs(s *dist.Stream, sector, n int) []JobRecord {
-	edu := educationDist(sector)
-	fProb := femaleProb(sector)
+	jd := &sectorJobDists[sector]
 	jobs := make([]JobRecord, n)
 	for i := range jobs {
-		jobs[i] = drawJob(s, fProb, edu[:])
+		jobs[i] = drawJob(s, jd)
 	}
 	return jobs
 }
@@ -509,13 +525,14 @@ func GenerateDelta(d *Dataset, cfg DeltaConfig, s *dist.Stream) (*Delta, error) 
 	for i, p := range d.Places {
 		placeWeights[i] = math.Sqrt(float64(p.Population)) + 2
 	}
+	placePicker := newCatSampler(placeWeights)
 	sizeDist := dist.NewSkewedSize(cfg.SizeBody, cfg.SizeTail, cfg.TailProb)
 	for i := 0; i < active; i++ {
 		if births.Float64() >= cfg.BirthRate {
 			continue
 		}
-		place := sampleCat(births, placeWeights)
-		sector := sampleCat(births, sectorWeights[:])
+		place := placePicker.sample(births)
+		sector := sectorSampler.sample(births)
 		own := 0
 		if births.Float64() < publicOwnershipProb(sector) {
 			own = 1

@@ -236,29 +236,77 @@ func TestDeltaValidateRejects(t *testing.T) {
 	}
 }
 
+// sampleCat is the categorical draw as the generator made it before
+// each weight list's total was hoisted into its catSampler: re-sum the
+// weights on every draw, then scan. It is the oracle the hoisted
+// samplers must match draw for draw.
+func sampleCat(s *dist.Stream, weights []float64) int {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	return scanCat(weights, s.Float64()*total)
+}
+
+// scanCat is sampleCat's subtractive scan of a scaled uniform u.
+func scanCat(weights []float64, u float64) int {
+	for i, w := range weights {
+		u -= w
+		if u < 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
 // TestGeneratorUnchangedByDrawJobRefactor guards the snapshot
-// generator's draw order: the shared drawJob helper must reproduce the
-// pre-refactor per-job sequence, keeping generated datasets (and every
-// golden number derived from them) bit-identical.
+// generator's draw order: the shared drawJob helper, with its hoisted
+// per-sector samplers, must reproduce the original inline per-job
+// sequence in every sector, keeping generated datasets (and every golden
+// number derived from them) bit-identical.
 func TestGeneratorUnchangedByDrawJobRefactor(t *testing.T) {
-	s := dist.NewStreamFromSeed(77).Split("workers")
-	ref := dist.NewStreamFromSeed(77).Split("workers")
-	edu := educationDist(6)
-	fProb := femaleProb(6)
-	for i := 0; i < 100; i++ {
-		got := drawJob(s, fProb, edu[:])
-		var want JobRecord
-		if ref.Float64() < fProb {
-			want.Sex = 1
+	for sector := range NAICSSectors {
+		s := dist.NewStreamFromSeed(77).Split("workers")
+		ref := dist.NewStreamFromSeed(77).Split("workers")
+		edu := educationDist(sector)
+		fProb := femaleProb(sector)
+		for i := 0; i < 100; i++ {
+			got := drawJob(s, &sectorJobDists[sector])
+			var want JobRecord
+			if ref.Float64() < fProb {
+				want.Sex = 1
+			}
+			want.Age = sampleCat(ref, ageDist[:])
+			want.Race = sampleCat(ref, raceDist[:])
+			if ref.Float64() < hispanicProb {
+				want.Ethnicity = 1
+			}
+			want.Education = sampleCat(ref, edu[:])
+			if got != want {
+				t.Fatalf("sector %d draw %d: drawJob = %+v, inline sequence = %+v", sector, i, got, want)
+			}
 		}
-		want.Age = sampleCat(ref, ageDist[:])
-		want.Race = sampleCat(ref, raceDist[:])
-		if ref.Float64() < hispanicProb {
-			want.Ethnicity = 1
-		}
-		want.Education = sampleCat(ref, edu[:])
-		if got != want {
-			t.Fatalf("draw %d: drawJob = %+v, inline sequence = %+v", i, got, want)
+	}
+}
+
+// TestDrawJobTakesJobDraws: the job kernel finds job i's draws at
+// positions jobDraws·i of the workers stream, so drawJob must leave its
+// stream exactly where Skip(jobDraws) would, in every sector. A draw
+// added to drawJob fails here instead of silently shifting every job
+// after it.
+func TestDrawJobTakesJobDraws(t *testing.T) {
+	if jobDraws != 5 {
+		t.Fatalf("jobDraws = %d; the generated datasets are pinned at 5 draws per job", jobDraws)
+	}
+	for sector := range NAICSSectors {
+		s := dist.NewStreamFromSeed(78).SplitIndex("sector", sector)
+		skipped := dist.NewStreamFromSeed(78).SplitIndex("sector", sector)
+		for i := 0; i < 50; i++ {
+			drawJob(s, &sectorJobDists[sector])
+			skipped.Skip(jobDraws)
+			if a, b := s.Uint64(), skipped.Uint64(); a != b {
+				t.Fatalf("sector %d job %d: drawJob left its stream off the Skip(%d) position", sector, i, jobDraws)
+			}
 		}
 	}
 }

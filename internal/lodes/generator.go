@@ -3,6 +3,8 @@ package lodes
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/table"
@@ -107,17 +109,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// sector indexes into NAICSSectors for the per-sector parameter tables.
-var (
-	sectorIdx = func() map[string]int {
-		m := make(map[string]int, len(NAICSSectors))
-		for i, s := range NAICSSectors {
-			m[s] = i
-		}
-		return m
-	}()
-)
-
 // publicOwnershipProb returns the probability an establishment in the
 // given sector is publicly owned.
 func publicOwnershipProb(sector int) float64 {
@@ -199,43 +190,46 @@ var sectorWeights = [20]float64{
 	0.8, // PublicAdministration
 }
 
-// sampleCat draws an index from the categorical distribution with the
-// given weights (not necessarily normalized).
-func sampleCat(s *dist.Stream, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	u := s.Float64() * total
-	for i, w := range weights {
-		u -= w
-		if u < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// linearSampleMax is the weight-list size up to which catSampler keeps
-// the plain subtractive scan. Every pre-national configuration (≤120
-// places) stays below it, so their draw sequences — and therefore every
-// recorded dataset and delta chain — are unchanged; only national-scale
-// place lists switch to the log-time sampler, whose draws differ from
-// the linear scan's only by floating-point association at bin edges.
-const linearSampleMax = 256
-
 // catSampler draws from one fixed categorical distribution many times.
-// Small weight lists use sampleCat verbatim; large ones precompute the
-// prefix-sum table once and binary-search it, turning the O(places)
-// per-establishment placement draw — untenable at 20k places × 7M
-// establishments — into O(log places).
+// Its weights' total is summed once, by the same left-to-right loop a
+// per-draw sum would run, so hoisting it changes no draw. Large weight
+// lists (newPlaceSampler) also precompute the prefix-sum table and
+// binary-search it, turning the O(places) per-establishment placement
+// draw — untenable at 20k places × 7M establishments — into
+// O(log places).
 type catSampler struct {
 	weights []float64
+	total   float64
 	cum     []float64 // nil for linear sampling
 }
 
-func newCatSampler(weights []float64) *catSampler {
-	cs := &catSampler{weights: weights}
+// newCatSampler returns the linear sampler of the weights (non-negative,
+// not necessarily normalized): a uniform draw scaled by the total, then a
+// subtractive scan.
+func newCatSampler(weights []float64) catSampler {
+	total := 0.0
+	for _, w := range weights {
+		if !(w >= 0) {
+			panic(fmt.Sprintf("lodes: categorical weight %v is not non-negative", w))
+		}
+		total += w
+	}
+	return catSampler{weights: weights, total: total}
+}
+
+// linearSampleMax is the weight-list size up to which newPlaceSampler
+// keeps the plain subtractive scan. Every pre-national configuration
+// (≤120 places) stays below it, so their draw sequences — and therefore
+// every recorded dataset and delta chain — are unchanged; only
+// national-scale place lists switch to the log-time sampler, whose draws
+// differ from the linear scan's only by floating-point association at
+// bin edges.
+const linearSampleMax = 256
+
+// newPlaceSampler is newCatSampler switching to prefix-sum binary search
+// above linearSampleMax weights: the snapshot generator's place picker.
+func newPlaceSampler(weights []float64) catSampler {
+	cs := newCatSampler(weights)
 	if len(weights) > linearSampleMax {
 		cs.cum = make([]float64, len(weights))
 		total := 0.0
@@ -248,10 +242,26 @@ func newCatSampler(weights []float64) *catSampler {
 }
 
 func (cs *catSampler) sample(s *dist.Stream) int {
+	return cs.index(s.Float64() * cs.total)
+}
+
+// index returns the category of u, a uniform draw scaled to [0, total).
+func (cs *catSampler) index(u float64) int {
 	if cs.cum == nil {
-		return sampleCat(s, cs.weights)
+		// The subtractive scan returns the first i at which u − w₀ − … − wᵢ,
+		// subtracted left to right, turns negative. Weights are
+		// non-negative, so the partial differences never rise and the
+		// non-negative ones are a prefix: counting them finds the same i
+		// without a data-dependent exit branch to mispredict.
+		n := 0
+		for _, w := range cs.weights {
+			u -= w
+			if u >= 0 {
+				n++
+			}
+		}
+		return min(n, len(cs.weights)-1)
 	}
-	u := s.Float64() * cs.cum[len(cs.cum)-1]
 	lo, hi := 0, len(cs.cum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -263,6 +273,28 @@ func (cs *catSampler) sample(s *dist.Stream) int {
 	}
 	return lo
 }
+
+var (
+	ageSampler    = newCatSampler(ageDist[:])
+	raceSampler   = newCatSampler(raceDist[:])
+	sectorSampler = newCatSampler(sectorWeights[:])
+)
+
+// jobDist is one sector's worker-attribute distribution, built once per
+// sector instead of once per establishment or hire event.
+type jobDist struct {
+	femaleProb float64
+	education  catSampler
+}
+
+var sectorJobDists = func() []jobDist {
+	jd := make([]jobDist, len(NAICSSectors))
+	for i := range jd {
+		edu := educationDist(i)
+		jd[i] = jobDist{femaleProb: femaleProb(i), education: newCatSampler(edu[:])}
+	}
+	return jd
+}()
 
 // Frame is the entity-level half of a snapshot: place metadata and the
 // establishment frame, with the job relation not yet drawn. At national
@@ -299,7 +331,9 @@ func GenerateFrame(cfg Config, s *dist.Stream) (*Frame, error) {
 		if i < len(forced) {
 			pop = forced[i]
 		} else {
-			exp := cfg.PopExponentLo + placeStream.Float64()*(cfg.PopExponentHi-cfg.PopExponentLo)
+			// The conversion rounds the product first, so no
+			// architecture fuses it into a multiply-add.
+			exp := cfg.PopExponentLo + float64(placeStream.Float64()*(cfg.PopExponentHi-cfg.PopExponentLo))
 			pop = int(math.Round(math.Pow(10, exp)))
 		}
 		places[i] = Place{Name: PlaceName(i), Population: pop}
@@ -316,7 +350,7 @@ func GenerateFrame(cfg Config, s *dist.Stream) (*Frame, error) {
 	for i, p := range places {
 		placeWeights[i] = math.Sqrt(float64(p.Population)) + 2
 	}
-	placePicker := newCatSampler(placeWeights)
+	placePicker := newPlaceSampler(placeWeights)
 
 	sizeDist := dist.NewSkewedSize(cfg.SizeBody, cfg.SizeTail, cfg.TailProb)
 	estStream := s.Split("establishments")
@@ -325,7 +359,7 @@ func GenerateFrame(cfg Config, s *dist.Stream) (*Frame, error) {
 	totalJobs := 0
 	for i := range ests {
 		place := placePicker.sample(estStream)
-		sector := sampleCat(estStream, sectorWeights[:])
+		sector := sectorSampler.sample(estStream)
 		own := 0
 		if estStream.Float64() < publicOwnershipProb(sector) {
 			own = 1
@@ -344,62 +378,104 @@ func GenerateFrame(cfg Config, s *dist.Stream) (*Frame, error) {
 // the 8-attribute worker relation stays in the tens of megabytes.
 const DefaultChunkRows = 1 << 20
 
+// jobDraws is the number of workers-stream draws drawJob takes per job.
+// The job relation is positional: the jobs of an establishment whose
+// first row is r are draws jobDraws·r onward of the workers stream, so
+// any range of establishments can be drawn from a stream skipped there.
+const jobDraws = 5
+
+// fillJobs is the job kernel: it draws the jobs of ests, in order, into
+// dst's rows from row on, reading s from its current position (the
+// ests' first draw).
+func fillJobs(dst *table.Table, row int, ests []Establishment, s *dist.Stream) {
+	for _, est := range ests {
+		jd := &sectorJobDists[est.Industry]
+		for j := 0; j < est.Employment; j++ {
+			jr := drawJob(s, jd)
+			dst.SetRow(row, est.ID,
+				est.Place, est.Industry, est.Ownership,
+				jr.Sex, jr.Age, jr.Race, jr.Ethnicity, jr.Education)
+			row++
+		}
+	}
+}
+
 // StreamJobs draws the frame's job relation in establishment-ordered
-// chunks, calling fn with a reused buffer table after each fills to at
-// least chunkRows rows (establishments are never split across chunks,
-// so every chunk is entity-sorted and a chunk can overshoot by at most
-// one establishment's workforce). s must be the same stream GenerateFrame
-// consumed — Split is a pure function of stream identity, so the worker
-// draws land exactly where Generate's would, and concatenating the
-// chunks reproduces Generate's WorkerFull bit for bit. The buffer is
-// reset after every call; fn must copy anything it keeps.
+// chunks, calling fn with a reused buffer table holding each chunk: the
+// fewest whole establishments reaching chunkRows rows, so every chunk is
+// entity-sorted and overshoots by less than one establishment's
+// workforce. s must be the stream GenerateFrame consumed — Split is a
+// pure function of stream identity, and StreamJobs runs Generate's job
+// kernel in order, so concatenating the chunks reproduces Generate's
+// WorkerFull bit for bit. The buffer is refilled after every call; fn
+// must copy anything it keeps.
 func (f *Frame) StreamJobs(s *dist.Stream, chunkRows int, fn func(chunk *table.Table) error) error {
 	if chunkRows < 1 {
 		chunkRows = DefaultChunkRows
 	}
-	workerStream := s.Split("workers")
+	workers := s.Split("workers")
 	buf := table.NewWithCapacity(f.Schema, chunkRows)
-	var eduW [4]float64
-	for _, est := range f.Establishments {
-		edu := educationDist(est.Industry)
-		copy(eduW[:], edu[:])
-		fProb := femaleProb(est.Industry)
-		for j := 0; j < est.Employment; j++ {
-			jr := drawJob(workerStream, fProb, eduW[:])
-			buf.AppendRow(est.ID,
-				est.Place, est.Industry, est.Ownership,
-				jr.Sex, jr.Age, jr.Race, jr.Ethnicity, jr.Education)
+	for lo := 0; lo < len(f.Establishments); {
+		hi, rows := lo, 0
+		for hi < len(f.Establishments) && rows < chunkRows {
+			rows += f.Establishments[hi].Employment
+			hi++
 		}
-		if buf.NumRows() >= chunkRows {
+		if rows > 0 {
+			buf.Resize(rows)
+			fillJobs(buf, 0, f.Establishments[lo:hi], workers)
 			if err := fn(buf); err != nil {
 				return err
 			}
-			buf.Reset()
 		}
-	}
-	if buf.NumRows() > 0 {
-		return fn(buf)
+		lo = hi
 	}
 	return nil
 }
 
 // Generate produces a synthetic LODES snapshot from the configuration and
 // stream. The same configuration and stream seed always produce the same
-// dataset. It is GenerateFrame plus StreamJobs materialized into one
-// table; callers that can consume the job relation incrementally should
-// stream instead and skip the full materialization.
+// dataset. It is GenerateFrame plus the job relation, drawn straight
+// into one table allocated at its final size: GOMAXPROCS goroutines each
+// run the job kernel over a contiguous establishment range holding about
+// an equal share of the jobs (sizes are heavy-tailed, so ranges are
+// balanced by jobs, not establishments), from the workers stream skipped
+// to the range's first draw. The result does not depend on GOMAXPROCS.
+// Callers that can consume the job relation incrementally should stream
+// instead (StreamJobs) and skip the full materialization.
 func Generate(cfg Config, s *dist.Stream) (*Dataset, error) {
 	f, err := GenerateFrame(cfg, s)
 	if err != nil {
 		return nil, err
 	}
-	full := table.NewWithCapacity(f.Schema, f.TotalJobs)
-	if err := f.StreamJobs(s, DefaultChunkRows, func(chunk *table.Table) error {
-		full.AppendSpan(chunk, 0, chunk.NumRows())
-		return nil
-	}); err != nil {
-		return nil, err
+	full := table.New(f.Schema)
+	full.Resize(f.TotalJobs)
+	ests := f.Establishments
+	workers := s.Split("workers")
+	var wg sync.WaitGroup
+	fill := func(lo, hi, row int) {
+		defer wg.Done()
+		ws := *workers
+		ws.Skip(jobDraws * uint64(row))
+		fillJobs(full, row, ests[lo:hi], &ws)
 	}
+	// Range k ends at the first establishment boundary at or past k/parts
+	// of the jobs; the last range takes the rest.
+	parts := runtime.GOMAXPROCS(0)
+	lo, row := 0, 0
+	for k := 1; k <= parts; k++ {
+		hi, end := lo, row
+		for hi < len(ests) && (k == parts || end < f.TotalJobs*k/parts) {
+			end += ests[hi].Employment
+			hi++
+		}
+		if hi > lo {
+			wg.Add(1)
+			go fill(lo, hi, row)
+		}
+		lo, row = hi, end
+	}
+	wg.Wait()
 	return &Dataset{WorkerFull: full, Establishments: f.Establishments, Places: f.Places}, nil
 }
 

@@ -421,8 +421,10 @@ func TestReadCSVCorruptInputs(t *testing.T) {
 
 // SectorIndex returns the code of the named NAICS sector, or -1.
 func SectorIndex(name string) int {
-	if i, ok := sectorIdx[name]; ok {
-		return i
+	for i, s := range NAICSSectors {
+		if s == name {
+			return i
+		}
 	}
 	return -1
 }

@@ -124,17 +124,19 @@ func TestWriteCSVStreamByteIdentical(t *testing.T) {
 }
 
 // TestCatSamplerMatchesLinear pins the sampler gating: at or below
-// linearSampleMax the prefix-sum sampler must not engage at all (so
-// every recorded pre-national draw sequence is untouched), and above it
-// the binary search must agree with the subtractive scan on the same
-// draw for almost every u — the two differ only by floating-point
-// association at bin edges.
+// linearSampleMax the place sampler's prefix-sum search must not engage
+// at all (so every recorded pre-national draw sequence is untouched),
+// and above it the binary search must agree with the subtractive scan on
+// the same draw for almost every u — the two differ only by
+// floating-point association at bin edges. The linear sampler itself,
+// with its hoisted total, must match the per-draw re-summing scan
+// exactly.
 func TestCatSamplerMatchesLinear(t *testing.T) {
 	small := make([]float64, linearSampleMax)
 	for i := range small {
 		small[i] = float64(i%7) + 0.5
 	}
-	if cs := newCatSampler(small); cs.cum != nil {
+	if cs := newPlaceSampler(small); cs.cum != nil {
 		t.Fatalf("sampler built a prefix table for %d weights; the linear cutoff is %d",
 			len(small), linearSampleMax)
 	}
@@ -143,21 +145,41 @@ func TestCatSamplerMatchesLinear(t *testing.T) {
 	for i := range large {
 		large[i] = float64((i*13)%29) + 0.25
 	}
-	cs := newCatSampler(large)
+	cs := newPlaceSampler(large)
 	if cs.cum == nil {
 		t.Fatal("sampler stayed linear above the cutoff")
 	}
+	linear := newCatSampler(large)
 	sa := dist.NewStreamFromSeed(5)
 	sb := dist.NewStreamFromSeed(5)
+	sc := dist.NewStreamFromSeed(5)
 	diff := 0
 	const draws = 20_000
 	for i := 0; i < draws; i++ {
-		if cs.sample(sa) != sampleCat(sb, large) {
+		want := sampleCat(sc, large)
+		if got := linear.sample(sb); got != want {
+			t.Fatalf("draw %d: linear sampler = %d, re-summing scan = %d", i, got, want)
+		}
+		if cs.sample(sa) != want {
 			diff++
 		}
 	}
 	if diff > draws/1000 {
 		t.Fatalf("binary-search sampler disagreed with linear scan on %d/%d draws", diff, draws)
+	}
+}
+
+// TestCatSamplerTies: the counting scan must place a u that lands
+// exactly on a partial sum where the exiting scan does, in the next
+// category, and anything at or past the total in the last one. Random
+// draws hit such ties with probability about 2⁻⁵³, so they are set here.
+func TestCatSamplerTies(t *testing.T) {
+	weights := []float64{1, 2, 0, 1, 0.5}
+	cs := newCatSampler(weights)
+	for _, u := range []float64{0, 0.5, 1, 2.999, 3, 3.5, 4, 4.25, 4.5, 5} {
+		if got, want := cs.index(u), scanCat(weights, u); got != want {
+			t.Errorf("u=%v: counting scan = %d, exiting scan = %d", u, got, want)
+		}
 	}
 }
 

@@ -64,15 +64,43 @@ func (t *Table) AppendRow(entity int32, codes ...int) {
 			len(codes), t.schema.NumAttrs()))
 	}
 	for i, c := range codes {
-		size := t.schema.Attr(i).Size()
-		if c < 0 || c >= size {
-			panic(fmt.Sprintf("table: code %d out of range for attribute %q (size %d)",
-				c, t.schema.Attr(i).Name, size))
-		}
+		t.checkCode(i, c)
 		t.cols[i] = append(t.cols[i], uint16(c))
 	}
 	t.entities = append(t.entities, entity)
 	t.n++
+}
+
+// SetRow overwrites record row with value codes in schema order and the
+// record's entity, under AppendRow's domain checks. Calls for distinct
+// rows may run concurrently: each writes only its own row's elements.
+// With Resize it lets a builder fill a table allocated at its final
+// size in parallel, each goroutine owning a contiguous row range.
+func (t *Table) SetRow(row int, entity int32, codes ...int) {
+	t.checkRow(row)
+	if len(codes) != t.schema.NumAttrs() {
+		panic(fmt.Sprintf("table: SetRow got %d codes, schema has %d attributes",
+			len(codes), t.schema.NumAttrs()))
+	}
+	for i, c := range codes {
+		t.checkCode(i, c)
+		t.cols[i][row] = uint16(c)
+	}
+	t.entities[row] = entity
+}
+
+// checkCode panics unless c is a code of attribute i's domain. It is
+// small enough to inline into the row writers; the message is built out
+// of line.
+func (t *Table) checkCode(i, c int) {
+	if uint(c) >= uint(len(t.schema.attrs[i].Values)) {
+		t.badCode(i, c)
+	}
+}
+
+func (t *Table) badCode(i, c int) {
+	d := t.schema.attrs[i]
+	panic(fmt.Sprintf("table: code %d out of range for attribute %q (size %d)", c, d.Name, d.Size()))
 }
 
 // AppendRowValues appends a record given as attribute values in schema
@@ -112,19 +140,34 @@ func (t *Table) AppendSpan(src *Table, lo, hi int) {
 	t.n += hi - lo
 }
 
-// Reset truncates the table to zero rows, keeping column capacity, so a
-// chunk buffer can be refilled without reallocating. Any cached index is
-// dropped; indexes or column views handed out earlier must not be used
-// across a Reset.
-func (t *Table) Reset() {
-	for i := range t.cols {
-		t.cols[i] = t.cols[i][:0]
+// Resize sets the table to n rows, keeping column capacity where it
+// suffices, so a chunk buffer can be refilled without reallocating and a
+// table can be allocated once at its final size. Rows below the old
+// count keep their records; the others hold in-domain codes (zero, or
+// what an earlier fill left) until SetRow writes them. Any
+// cached index is dropped; indexes or column views handed out earlier
+// must not be used across a Resize.
+func (t *Table) Resize(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("table: Resize to %d rows", n))
 	}
-	t.entities = t.entities[:0]
-	t.n = 0
+	for i, col := range t.cols {
+		t.cols[i] = resized(col, n)
+	}
+	t.entities = resized(t.entities, n)
+	t.n = n
 	t.idxMu.Lock()
 	t.idx = nil
 	t.idxMu.Unlock()
+}
+
+// resized returns s at length n, reallocating only when its capacity is
+// short (new storage is zeroed; the old contents are copied over).
+func resized[E uint16 | int32](s []E, n int) []E {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]E, n-cap(s))...)
 }
 
 // Code returns the value code of attribute attr for record row.

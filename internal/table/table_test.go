@@ -138,6 +138,52 @@ func TestTableAppendRowValidation(t *testing.T) {
 	}()
 }
 
+// TestTableResizeSetRow: Resize keeps the rows below the old count and
+// drops a cached index, SetRow fills rows in place, and SetRow keeps
+// AppendRow's checks: a code outside its domain, a wrong arity or a row
+// outside the table panics.
+func TestTableResizeSetRow(t *testing.T) {
+	tab := New(testSchema())
+	tab.AppendRow(7, 2, 1, 1)
+	if idx := tab.Index(); idx.n != 1 {
+		t.Fatalf("index covers %d rows, want 1", idx.n)
+	}
+	tab.Resize(3)
+	if tab.NumRows() != 3 || tab.Entity(0) != 7 || tab.Code(0, 0) != 2 {
+		t.Fatalf("Resize(3) lost row 0: %d rows, entity %d, place %d", tab.NumRows(), tab.Entity(0), tab.Code(0, 0))
+	}
+	tab.SetRow(2, 9, 1, 0, 1)
+	tab.SetRow(1, 8, 0, 1, 0)
+	for row, want := range [][4]int{{7, 2, 1, 1}, {8, 0, 1, 0}, {9, 1, 0, 1}} {
+		if int(tab.Entity(row)) != want[0] || tab.Code(row, 0) != want[1] || tab.Code(row, 1) != want[2] || tab.Code(row, 2) != want[3] {
+			t.Errorf("row %d = entity %d codes %d,%d,%d; want %v",
+				row, tab.Entity(row), tab.Code(row, 0), tab.Code(row, 1), tab.Code(row, 2), want)
+		}
+	}
+	if idx := tab.Index(); idx.n != 3 {
+		t.Fatalf("index after Resize covers %d rows, want 3", idx.n)
+	}
+	tab.Resize(1)
+	if tab.NumRows() != 1 || tab.Entity(0) != 7 {
+		t.Fatalf("Resize(1): %d rows, entity %d", tab.NumRows(), tab.Entity(0))
+	}
+	for name, set := range map[string]func(){
+		"out-of-range code": func() { tab.SetRow(0, 0, 0, 2, 0) },
+		"negative code":     func() { tab.SetRow(0, 0, -1, 0, 0) },
+		"short row":         func() { tab.SetRow(0, 0, 0, 0) },
+		"row past the end":  func() { tab.SetRow(1, 0, 0, 0, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetRow with a %s did not panic", name)
+				}
+			}()
+			set()
+		}()
+	}
+}
+
 func TestTableFilter(t *testing.T) {
 	s := testSchema()
 	tab := New(s)
